@@ -66,7 +66,8 @@ def bench_serve_loop(quick: bool) -> dict:
         t0 = time.perf_counter()
         report = service.run()
         best = min(best, time.perf_counter() - t0)
-    assert report is not None
+    if report is None:
+        raise RuntimeError("serve bench: no session ran")
     counts = report.counts
     if counts["dropped"] or counts["submitted"] != counts["accepted"]:
         raise RuntimeError(

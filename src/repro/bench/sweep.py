@@ -59,7 +59,12 @@ def bench_sweep_parallel(quick: bool = False) -> dict:
         start = perf_counter()
         parallel = run_tasks(tasks, jobs=jobs, store=store, memo=False)
         cold_parallel_s = perf_counter() - start
-        assert last_stats()["misses"] == len(tasks)
+        stats = last_stats()
+        if stats["misses"] != len(tasks):
+            raise RuntimeError(
+                f"sweep bench: cold pooled run expected {len(tasks)} cache misses, "
+                f"observed {stats}"
+            )
 
         # Warm reads are cheap, so repeat and keep the best: ms_warm is
         # the gated field and min-of-N filters out scheduler noise.
@@ -69,7 +74,11 @@ def bench_sweep_parallel(quick: bool = False) -> dict:
             warm = run_tasks(tasks, jobs=jobs, store=store, memo=False)
             warm_samples.append(perf_counter() - start)
             stats = last_stats()
-            assert stats["hits"] == len(tasks) and stats["misses"] == 0
+            if stats["hits"] != len(tasks) or stats["misses"]:
+                raise RuntimeError(
+                    f"sweep bench: warm run expected {len(tasks)} cache hits and no "
+                    f"misses, observed {stats}"
+                )
         warm_s = min(warm_samples)
 
     identical = all(

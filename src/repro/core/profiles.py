@@ -54,11 +54,11 @@ class ImageProfile:
     mean_runtime_ms: float = 0.0
     # Pooled percentile inputs.
     _mem_samples: list[np.ndarray] = field(default_factory=list)
-    # Rank cache for the correlation hot path, keyed on `observations`
-    # (the profile's version: mem_series is replaced on every update).
-    _rank_cache: tuple[int, np.ndarray, bool] | None = field(
-        default=None, repr=False, compare=False
-    )
+    # Statistics cache keyed on `observations`, the profile's version:
+    # update() is the only mutator of the fields the statistics read, and
+    # every update bumps the version, so a cached value is never stale.
+    _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _stats_version: int = field(default=-1, init=False, repr=False, compare=False)
 
     def update(self, sampled: dict[str, np.ndarray], runtime_ms: float = 0.0) -> None:
         """Fold one completed run's sampled series into the profile."""
@@ -73,6 +73,26 @@ class ImageProfile:
         if len(self._mem_samples) > 32:       # bound memory
             self._mem_samples.pop(0)
 
+    def _stat(self, key, compute):
+        """``compute()``, evaluated once per profile version.
+
+        Schedulers read these statistics for every resident on every
+        pass, while the profile only changes when a pod of the image
+        completes.
+        """
+        if self._stats_version != self.observations:
+            self._stats = {}
+            self._stats_version = self.observations
+        stats = self._stats
+        if key in stats:
+            return stats[key]
+        value = stats[key] = compute()
+        return value
+
+    def _require_samples(self) -> None:
+        if not self._mem_samples:
+            raise ValueError(f"no observations for image {self.image!r}")
+
     def correlation_ranks(self) -> tuple[np.ndarray, bool]:
         """(average ranks of ``mem_series``, tie flag), ranked once.
 
@@ -82,29 +102,46 @@ class ImageProfile:
         a re-ranking.  The cached vector is read-only — it is shared by
         every consumer.
         """
-        cache = self._rank_cache
-        if cache is None or cache[0] != self.observations:
-            ranks, ties = rank_with_ties(self.mem_series)
-            ranks.flags.writeable = False
-            cache = self._rank_cache = (self.observations, ranks, ties)
-        return cache[1], cache[2]
+        return self._stat("ranks", self._ranks)
+
+    def _ranks(self) -> tuple[np.ndarray, bool]:
+        ranks, ties = rank_with_ties(self.mem_series)
+        ranks.flags.writeable = False
+        return ranks, ties
 
     # -- the statistics CBP provisions with ---------------------------------
 
+    def sm_p75(self) -> float:
+        """75th percentile of the SM series: the image's expected compute
+        load (compute phases are where co-location interference happens)."""
+        return self._stat("sm_p75", lambda: float(np.percentile(self.sm_series, 75)))
+
+    def sm_peak(self) -> float:
+        """Peak of the SM series: the image's worst-case compute load."""
+        return self._stat("sm_peak", lambda: float(self.sm_series.max()))
+
     def mem_percentile(self, q: float) -> float:
-        if not self._mem_samples:
-            raise ValueError(f"no observations for image {self.image!r}")
-        pooled = np.concatenate(self._mem_samples)
-        return float(np.percentile(pooled, q))
+        self._require_samples()
+        return self._stat(
+            ("mem_percentile", q),
+            lambda: float(np.percentile(np.concatenate(self._mem_samples), q)),
+        )
 
     def peak_mem_mb(self) -> float:
-        if not self._mem_samples:
-            raise ValueError(f"no observations for image {self.image!r}")
-        return float(max(s.max() for s in self._mem_samples))
+        self._require_samples()
+        return self._stat(
+            "peak_mem_mb", lambda: float(max(s.max() for s in self._mem_samples))
+        )
+
+    def pressure_stats(self) -> tuple[float, float, float]:
+        """``(sm_p75, sm_peak, peak_mem_mb)`` as one cached tuple: what a
+        scheduling pass reads for every resident of the image."""
+        return self._stat(
+            "pressure", lambda: (self.sm_p75(), self.sm_peak(), self.peak_mem_mb())
+        )
 
     def mean_mem_mb(self) -> float:
-        if not self._mem_samples:
-            raise ValueError(f"no observations for image {self.image!r}")
+        self._require_samples()
         return float(np.concatenate(self._mem_samples).mean())
 
 

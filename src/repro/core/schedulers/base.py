@@ -29,6 +29,7 @@ __all__ = [
     "SchedulingContext",
     "PassState",
     "Scheduler",
+    "resident_pressure",
 ]
 
 
@@ -88,6 +89,37 @@ class SchedulingContext:
 
     def residents_on(self, gpu_id: str) -> list[ResidentPod]:
         return self.residents.get(gpu_id, [])
+
+
+def resident_pressure(profiles, residents) -> tuple[float, float, list[float], int]:
+    """Profile-based load of one device's residents.
+
+    Returns ``(expected SM, peak SM, peak-memory overshoots, latency-
+    critical count)``.  nvidia-smi style utilization saturates at 100 %
+    no matter how oversubscribed a device is; for placement the
+    scheduler needs the *demand* behind it, which Knots reconstructs
+    from the residents' image profiles.  Each overshoot is how far a
+    resident's peak memory exceeds its reservation (the two-peak
+    capacity guard's input).
+    """
+    pressure = 0.0
+    peak_pressure = 0.0
+    overshoots: list[float] = []
+    lc = 0
+    for res in residents:
+        if res.qos_class is QoSClass.LATENCY_CRITICAL:
+            lc += 1
+        profile = profiles.get(res.image)
+        if profile is not None and profile.observations:
+            sm_p75, sm_peak, peak_mem_mb = profile.pressure_stats()
+            pressure += sm_p75
+            peak_pressure += sm_peak
+            overshoots.append(max(peak_mem_mb - res.alloc_mb, 0.0))
+        else:
+            pressure += 0.3   # unknown image: assume moderate load
+            peak_pressure += 0.5
+            overshoots.append(0.0)   # reservation is its own request
+    return pressure, peak_pressure, overshoots, lc
 
 
 @dataclass

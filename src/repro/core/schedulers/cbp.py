@@ -42,6 +42,7 @@ from repro.core.schedulers.base import (
     ResidentPod,
     Scheduler,
     SchedulingContext,
+    resident_pressure,
 )
 from repro.core.schedulers.vectorized import ArrayPassState
 from repro.forecast.correlation import spearman_from_ranks
@@ -163,35 +164,14 @@ class CBPScheduler(Scheduler):
         return actions
 
     def _load_pressure(self, ctx: SchedulingContext, state: PassState) -> None:
-        """Replace raw (capped) SM telemetry with profile-based demand.
-
-        nvidia-smi style utilization saturates at 100 % no matter how
-        oversubscribed a device is; for placement the scheduler needs the
-        *demand* behind it.  Knots reconstructs that from the resident
-        pods' image profiles — runtime feedback, not a priori profiling.
-        It also collects each resident's peak-memory overshoot for the
-        two-peak capacity guard.
-        """
+        """Replace raw (capped) SM telemetry with profile-based demand
+        (see :func:`resident_pressure`) and collect each device's
+        peak-memory overshoots for the two-peak capacity guard."""
+        profiles = ctx.knots.profiles
         for gpu_id in state.free:
-            residents = ctx.residents_on(gpu_id)
-            pressure = 0.0
-            peak_pressure = 0.0
-            overshoots = []
-            lc = 0
-            for res in residents:
-                if res.qos_class is QoSClass.LATENCY_CRITICAL:
-                    lc += 1
-                profile = ctx.knots.profiles.get(res.image)
-                if profile is not None and profile.observations:
-                    pressure += float(np.percentile(profile.sm_series, 75))
-                    peak_pressure += float(profile.sm_series.max())
-                    overshoots.append(max(profile.peak_mem_mb() - res.alloc_mb, 0.0))
-                else:
-                    pressure += 0.3   # unknown image: assume moderate load
-                    peak_pressure += 0.5
-                    overshoots.append(0.0)   # reservation is its own request
-            state.sm[gpu_id] = pressure
-            state.sm_peak[gpu_id] = peak_pressure
+            sm, sm_peak, overshoots, lc = resident_pressure(profiles, ctx.residents_on(gpu_id))
+            state.sm[gpu_id] = sm
+            state.sm_peak[gpu_id] = sm_peak
             state.overshoots[gpu_id] = overshoots
             state.lc_count[gpu_id] = lc
 
@@ -496,9 +476,7 @@ class CBPScheduler(Scheduler):
         view so several queries bound in one pass spread across devices."""
         profile = ctx.knots.profiles.get(pod.spec.image)
         if profile is not None and profile.observations:
-            # 75th percentile, not the mean: compute phases are where
-            # co-location interference actually happens.
-            return float(np.percentile(profile.sm_series, 75))
+            return profile.sm_p75()
         return pod.spec.trace.peak_sm() * 0.5
 
     def _provision(self, ctx: SchedulingContext, pod: Pod) -> float:

@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.schedulers.base import SchedulingContext
-from repro.workloads.base import QoSClass
+from repro.core.schedulers.base import SchedulingContext, resident_pressure
 
 __all__ = ["ArrayPassState"]
 
@@ -85,7 +84,8 @@ class ArrayPassState:
     # -- setup ---------------------------------------------------------------
 
     def load_residents(self, ctx: SchedulingContext, knots) -> None:
-        """Sparse equivalent of ``_load_pressure`` + the view counts.
+        """Sparse equivalent of ``_load_pressure`` + the view counts (both
+        go through :func:`resident_pressure`).
 
         Devices without residents keep the zero defaults — exactly what
         the dict path computes for them (empty loop, ``pressure = 0``).
@@ -98,22 +98,11 @@ class ArrayPassState:
             if i is None or not included[i]:
                 continue
             self.count[i] = len(residents)
-            pressure = 0.0
-            peak_pressure = 0.0
-            lc = 0
-            for res in residents:
-                if res.qos_class is QoSClass.LATENCY_CRITICAL:
-                    lc += 1
-                profile = profiles.get(res.image)
-                if profile is not None and profile.observations:
-                    pressure += float(np.percentile(profile.sm_series, 75))
-                    peak_pressure += float(profile.sm_series.max())
-                    self.push_overshoot(i, max(profile.peak_mem_mb() - res.alloc_mb, 0.0))
-                else:
-                    pressure += 0.3
-                    peak_pressure += 0.5
-            self.sm[i] = pressure
-            self.sm_peak[i] = peak_pressure
+            sm, sm_peak, overshoots, lc = resident_pressure(profiles, residents)
+            for c in overshoots:
+                self.push_overshoot(i, c)
+            self.sm[i] = sm
+            self.sm_peak[i] = sm_peak
             self.lc_count[i] = lc
 
     def push_overshoot(self, i: int, c: float) -> None:

@@ -10,6 +10,14 @@ Like the tracer, the disabled path (:class:`NullMetricsRegistry`) hands
 out shared null instruments whose mutators are empty methods: call
 sites pre-create their instruments once at wiring time and pay one
 no-op call per update when observability is off.
+
+Under ``repro serve`` the service thread writes instruments while a
+``/metrics`` scrape renders them from another thread.  Every ``render``
+therefore first copies what it reads — ``dict(...)`` of the value maps,
+``list(...)`` of a histogram's bucket counts, each one step under the
+GIL since the keys are strings or tuples of strings — and formats only
+the copies, so a scrape never iterates a dict that is growing and every
+series it shows is read at one point in time.
 """
 
 from __future__ import annotations
@@ -95,11 +103,12 @@ class Counter(_Instrument):
 
     def render(self) -> list[str]:
         lines = [f"# HELP {self.name} {_escape_help(self.help)}", f"# TYPE {self.name} counter"]
-        if not self._values:
+        values = dict(self._values)
+        if not values:
             lines.append(f"{self.name} 0")
             return lines
-        for key in sorted(self._values):
-            lines.append(f"{self.name}{_fmt_labels(self.labelnames, key)} {self._values[key]:g}")
+        for key in sorted(values):
+            lines.append(f"{self.name}{_fmt_labels(self.labelnames, key)} {values[key]:g}")
         return lines
 
 
@@ -124,11 +133,12 @@ class Gauge(_Instrument):
 
     def render(self) -> list[str]:
         lines = [f"# HELP {self.name} {_escape_help(self.help)}", f"# TYPE {self.name} gauge"]
-        if not self._values:
+        values = dict(self._values)
+        if not values:
             lines.append(f"{self.name} 0")
             return lines
-        for key in sorted(self._values):
-            lines.append(f"{self.name}{_fmt_labels(self.labelnames, key)} {self._values[key]:g}")
+        for key in sorted(values):
+            lines.append(f"{self.name}{_fmt_labels(self.labelnames, key)} {values[key]:g}")
         return lines
 
 
@@ -185,14 +195,16 @@ class Histogram(_Instrument):
 
     def render(self) -> list[str]:
         lines = [f"# HELP {self.name} {_escape_help(self.help)}", f"# TYPE {self.name} histogram"]
-        if self._counts:
-            keys = sorted(self._counts)
+        all_counts = dict(self._counts)
+        sums = dict(self._sums)
+        if all_counts:
+            keys = sorted(all_counts)
         else:
             # An unobserved unlabelled histogram still exposes its
             # (empty) buckets; a labelled one has no series to show.
             keys = [()] if not self.labelnames else []
         for key in keys:
-            counts = self._counts.get(key, [0] * (len(self.buckets) + 1))
+            counts = list(all_counts.get(key, [0] * (len(self.buckets) + 1)))
             running = 0
             for bound, c in zip(self.buckets, counts):
                 running += c
@@ -201,7 +213,7 @@ class Histogram(_Instrument):
             le = _fmt_labels(self.labelnames, key, extra='le="+Inf"')
             lines.append(f"{self.name}_bucket{le} {running + counts[-1]}")
             lines.append(
-                f"{self.name}_sum{_fmt_labels(self.labelnames, key)} {self._sums.get(key, 0.0):g}"
+                f"{self.name}_sum{_fmt_labels(self.labelnames, key)} {sums.get(key, 0.0):g}"
             )
             lines.append(
                 f"{self.name}_count{_fmt_labels(self.labelnames, key)} {running + counts[-1]}"
@@ -252,9 +264,10 @@ class MetricsRegistry:
 
     def render(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
+        instruments = dict(self._instruments)
         lines: list[str] = []
-        for name in self.names():
-            lines.extend(self._instruments[name].render())
+        for name in sorted(instruments):
+            lines.extend(instruments[name].render())
         return "\n".join(lines) + ("\n" if lines else "")
 
     def write(self, path: str | Path) -> None:

@@ -717,15 +717,8 @@ class FrontDoor:
         return 503, "application/json", payload + b"\n", {}
 
     def _render_metrics(self) -> bytes:
-        # The registry is mutated by the service thread; rendering takes
-        # a point-in-time sorted snapshot of each instrument's dict, and
-        # a resize racing that snapshot raises RuntimeError.  Retry — a
-        # consistent scrape is one quiet interval away.
-        for _ in range(8):
-            try:
-                return self.service.obs.metrics.render().encode()
-            except RuntimeError:
-                time.sleep(0.002)
+        # The registry is mutated by the service thread; render() works
+        # from point-in-time snapshots, so a scrape never races it.
         return self.service.obs.metrics.render().encode()
 
 

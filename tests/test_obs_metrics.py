@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -224,3 +226,51 @@ def test_render_matches_golden_file():
 
 def test_render_is_byte_stable_across_construction_orders():
     assert _golden_registry().render() == _golden_registry().render()
+
+
+def _histogram_series(text: str, name: str) -> dict[str, dict[str, float]]:
+    """{label set: {"inf": +Inf bucket, "count": _count}} from a render."""
+    series: dict[str, dict[str, float]] = {}
+    for line in text.splitlines():
+        if line.startswith(f"{name}_bucket{{") and 'le="+Inf"' in line:
+            labels = line[line.index("{"):line.index(",le=")] + "}"
+            series.setdefault(labels, {})["inf"] = float(line.rsplit(" ", 1)[1])
+        elif line.startswith(f"{name}_count{{"):
+            labels = line[line.index("{"):line.index("}") + 1]
+            series.setdefault(labels, {})["count"] = float(line.rsplit(" ", 1)[1])
+    return series
+
+
+def test_render_is_a_snapshot_under_a_concurrent_writer():
+    """A scrape renders while the service thread adds label keys and
+    observes.  Every render must succeed, and each histogram series must
+    read one point in time: its +Inf bucket equals its _count."""
+    reg = MetricsRegistry()
+    hist = reg.histogram("wait_ms", "w", buckets=(1.0,), labelnames=("gpu",))
+    counter = reg.counter("binds_total", "b", labelnames=("gpu",))
+    stop = threading.Event()
+
+    def writer() -> None:
+        i = 0
+        while not stop.is_set():
+            hist.observe(5.0, gpu=f"g{i % 4}")    # lands in +Inf
+            if i % 50 == 0 and i < 10_000:
+                counter.inc(gpu=f"g{i}")           # a new label key
+                hist.observe(0.5, gpu=f"new{i}")
+            i += 1
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    thread = threading.Thread(target=writer)
+    thread.start()
+    try:
+        for _ in range(300):
+            text = reg.render()
+            for labels, pair in _histogram_series(text, "wait_ms").items():
+                assert pair["inf"] == pair["count"], (labels, pair)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        sys.setswitchinterval(old_interval)
+    assert not thread.is_alive()
+    assert counter._values, "the writer never ran"

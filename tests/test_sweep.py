@@ -186,3 +186,22 @@ class TestThreadSafety:
         stats = last_stats()
         assert stats["tasks"] == 1
         assert stats["hits"] + stats["misses"] == 1  # a coherent snapshot
+
+
+class TestBenchGuards:
+    def test_warm_cache_miss_raises(self, monkeypatch):
+        # The sweep bench's warm phase must be all hits; force one store
+        # miss there (the cold phases make 8 lookups, all misses) and the
+        # bench refuses to record numbers.
+        from repro.bench.sweep import bench_sweep_parallel
+
+        real_get = ResultStore.get
+        lookups = []
+
+        def get(self, key):
+            lookups.append(key)
+            return None if len(lookups) == 9 else real_get(self, key)
+
+        monkeypatch.setattr(ResultStore, "get", get)
+        with pytest.raises(RuntimeError, match="warm run expected 4 cache hits.*'misses': 1"):
+            bench_sweep_parallel(quick=True)
