@@ -37,6 +37,10 @@ paper's results silently rely on:
     node's *live* (post-reclaim) capacity, and every accepted,
     unfinished pod is still accounted for — pending or hosted, never
     silently dropped.
+``idle_pass_noop``
+    A scheduling pass the orchestrator skips as a repeat of the last
+    no-op pass (nothing pending, no node epoch moved) really is one:
+    the policy, asked anyway, returns no actions.
 
 A :class:`Sanitizer` rides on the :class:`repro.obs.Observability`
 bundle (``Observability(sanitize=True)``); every instrumented call site
@@ -49,7 +53,7 @@ instead of raising).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.cluster.gpu import GPU
@@ -69,6 +73,7 @@ INVARIANTS = (
     "pool_accounting",
     "fast_forward_quiescence",
     "capacity_conservation",
+    "idle_pass_noop",
 )
 
 _EPS = 1e-6
@@ -356,7 +361,7 @@ class Sanitizer:
                 now=now, t_next=t_next,
             )
 
-    # -- idle fast-forward ----------------------------------------------------
+    # -- idle fast-forward and skipped passes ---------------------------------
 
     def check_fast_forward(
         self, now: float, target: float, all_done: bool, devices_parked: bool
@@ -376,4 +381,16 @@ class Sanitizer:
                 "fast_forward_quiescence",
                 "fast-forward attempted on a non-quiescent cluster",
                 all_done=all_done, devices_parked=devices_parked,
+            )
+
+    def check_idle_pass(self, actions: Sequence[Any]) -> None:
+        """A skipped scheduling pass must be a no-op: the policy, asked
+        what it would have done, returns no actions (the orchestrator
+        drops whatever it returns)."""
+        self.checks += 1
+        if actions:
+            self.violation(
+                "idle_pass_noop",
+                "policy acted on a pass skipped as a repeat no-op",
+                actions=len(actions), first=repr(actions[0]),
             )

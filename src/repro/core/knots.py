@@ -95,9 +95,7 @@ class Knots:
             san.check_window_fresh(gpu_id, "mem_util", window, now, self.config.heartbeat_ms)
         return window
 
-    def active_gpus_by_free_memory(self) -> list[GpuView]:
-        """``Sort_by_Free_Memory(All_Active_GPUs)``."""
-        return self.aggregator.sorted_by_free_memory(active_only=True)
-
     def all_gpus_by_free_memory(self) -> list[GpuView]:
-        return self.aggregator.sorted_by_free_memory(active_only=False)
+        """``Sort_by_Free_Memory`` over every placeable device, sleeping
+        ones included."""
+        return self.aggregator.sorted_by_free_memory()

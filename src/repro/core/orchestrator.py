@@ -73,6 +73,11 @@ class KubeKnots:
         self._node_starts = np.array(
             [start for start, _ in cluster.state.node_slices], dtype=np.intp
         )
+        #: Node epochs after the last executed pass when that pass had
+        #: nothing pending and returned no actions, else ``None``: while
+        #: they still match and nothing is pending, a pass would repeat
+        #: that no-op (see :meth:`_repeats_noop`).
+        self._noop_epochs: np.ndarray | None = None
         #: Vectorized execution quantum: advances all hosting nodes'
         #: pods in one array pass per tick, dropping rare events (OOM,
         #: completion, failure) back through ``Kubelet.step_device``.
@@ -95,6 +100,10 @@ class KubeKnots:
         metrics = self.obs.metrics
         self._m_passes = metrics.counter(
             "scheduler_passes_total", "Scheduling passes executed"
+        )
+        self._m_skipped = metrics.counter(
+            "scheduler_passes_skipped_total",
+            "Scheduling passes skipped as a repeat of the last no-op pass",
         )
         self._m_actions = metrics.counter(
             "scheduler_actions_total", "Actions applied, by kind", labelnames=("kind",)
@@ -152,13 +161,29 @@ class KubeKnots:
     # -- the pass --------------------------------------------------------------
 
     def scheduling_pass(self, now: float) -> list[Action]:
-        """Run one policy pass and apply its actions.  Returns them."""
+        """Run one policy pass and apply its actions.  Returns them.
+
+        A pass that would repeat a no-op returns ``[]`` without building
+        a context or calling the policy (:meth:`_repeats_noop`).  Under
+        the sanitizer a skipped pass still asks the policy, and any
+        action it returns is reported as an ``idle_pass_noop``
+        violation instead of being applied.
+        """
         obs = self.obs
+        if self._repeats_noop():
+            if obs.enabled:
+                self._m_skipped.inc()
+                san = obs.sanitizer
+                if san is not None:
+                    obs.clock.now = now
+                    san.check_idle_pass(self.scheduler.schedule(self.build_context(now)))
+            return []
         if not obs.enabled:
             ctx = self.build_context(now)
             actions = self.scheduler.schedule(ctx)
             for action in actions:
                 self._apply(action, now)
+            self._note_pass(ctx, actions)
             return actions
 
         obs.clock.now = now
@@ -174,7 +199,29 @@ class KubeKnots:
         self._m_passes.inc()
         if tracer.enabled:
             tracer.end(args={"pending": len(ctx.pending), "actions": len(actions)})
+        self._note_pass(ctx, actions)
         return actions
+
+    def _repeats_noop(self) -> bool:
+        """Whether this pass would repeat the last executed pass's no-op.
+
+        True when nothing is pending, the last executed pass also had
+        nothing pending and returned no actions, and no node epoch
+        moved since.  The :meth:`Scheduler.schedule` contract then makes
+        the policy's answer ``[]`` again: with nothing pending it may
+        read only epoch-tracked cluster state.
+        """
+        idle = self._noop_epochs
+        return (
+            idle is not None
+            and not self.api.num_pending()
+            and np.array_equal(self.cluster.state.node_epoch, idle)
+        )
+
+    def _note_pass(self, ctx: SchedulingContext, actions: list[Action]) -> None:
+        self._noop_epochs = (
+            None if ctx.pending or actions else self.cluster.state.node_epoch.copy()
+        )
 
     def _apply(self, action: Action, now: float) -> None:
         if isinstance(action, Bind):

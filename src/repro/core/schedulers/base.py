@@ -192,7 +192,22 @@ class Scheduler(ABC):
 
     @abstractmethod
     def schedule(self, ctx: SchedulingContext) -> list[Action]:
-        """Produce placement/resize/power actions for this pass."""
+        """Produce placement/resize/power actions for this pass.
+
+        **Idle-pass contract.**  With nothing pending, the returned
+        actions may depend only on cluster state that bumps a
+        ``ClusterState.node_epoch`` entry when it changes: reservations,
+        the resident pods, and the asleep, failed and cordoned flags —
+        not on ``ctx.now``, telemetry or policy-internal counters.  The
+        orchestrator relies on it to skip a pass when nothing is
+        pending, no node epoch moved since the last executed pass, and
+        that pass also had nothing pending and returned no actions; the
+        sanitizer's ``idle_pass_noop`` invariant checks every such skip.
+        Every shipped policy keeps it: CBP, Res-Ag, Uniform and the gang
+        wrapper return nothing when nothing is pending, and PP's
+        consolidation sleeps drained devices by resident count and the
+        three flags alone.
+        """
 
     def quantum_ok(self) -> bool:
         """Whether the vectorized execution quantum may run under this

@@ -314,7 +314,8 @@ class CBPScheduler(Scheduler):
         """
         ceiling = self.lc_sm_ceiling if lc_ceiling is None else lc_ceiling
         ok = [g for g in state.free if state.sm_peak.get(g, 0.0) < ceiling]
-        hot = [g for g in state.free if g not in set(ok)]
+        ok_set = set(ok)
+        hot = [g for g in state.free if g not in ok_set]
         ok.sort(key=lambda gid: (-state.sm_peak.get(gid, 0.0), -state.free[gid], gid))
         hot.sort(key=lambda gid: (state.sm_peak.get(gid, 0.0), -state.free[gid], gid))
         return ok, hot

@@ -102,14 +102,15 @@ class PeakPredictionScheduler(CBPScheduler):
         self._begin_pass()
         if type(self) is PeakPredictionScheduler and self._fast_pass_ok(ctx):
             return self._schedule_fast(ctx)
-        active = ctx.knots.active_gpus_by_free_memory()
+        # One snapshot, split into the awake devices Algorithm 1 walks
+        # and the sleeping ones a wake may pick, each in its sorted order.
+        views = ctx.knots.all_gpus_by_free_memory()
+        active = [v for v in views if not v.asleep]
+        sleeping = [v for v in views if v.asleep]
         state = PassState.from_views(active, ctx.residents_on)
         self._load_pressure(ctx, state)
         actions.extend(self._harvest(ctx, state))
 
-        sleeping = [
-            v for v in ctx.knots.all_gpus_by_free_memory() if v.asleep and not v.cordoned
-        ]
         queue_depth = len(ctx.pending)
         unplaced = 0
         for pod in self._ordered_pending(ctx):

@@ -460,9 +460,11 @@ class KubeKnotsSimulator:
                     self.orchestrator.heartbeat(tp)
                 next_hb = tp + hb_ms
             if tp >= next_sched:
-                # The pass is skipped outright: with no pending pods, no
-                # residents and no awake devices, every shipped policy
-                # provably returns no actions.
+                # The pass is skipped outright: nothing is pending and no
+                # node epoch moves across the span, so by the idle-pass
+                # contract of ``Scheduler.schedule`` the policy's answer
+                # cannot change, and with no residents and every device
+                # parked it is no action.
                 next_sched = tp + cfg.schedule_interval_ms
             t_after = tp + tick
             if t_after > horizon:

@@ -157,26 +157,16 @@ class UtilizationAggregator:
                 self._san.check_view(view)
         return views
 
-    def active_views(self) -> list[GpuView]:
-        """Awake, healthy devices only (Algorithm 1 skips deep-sleep
-        GPUs; failed devices are invisible until repaired, cordoned
-        devices take no new placements)."""
-        return [
-            v for v in self.snapshot()
-            if not v.asleep and not v.failed and not v.cordoned
-        ]
+    def sorted_by_free_memory(self) -> list[GpuView]:
+        """Placeable devices sorted by free (unreserved) memory, descending.
 
-    def sorted_by_free_memory(self, active_only: bool = True) -> list[GpuView]:
-        """Devices sorted by free (unreserved) memory, descending.
-
-        This is ``Sort_by_Free_Memory`` in Algorithm 1.  Ties break by
-        gpu_id so the order — and therefore every experiment — is
-        deterministic.
+        This is ``Sort_by_Free_Memory`` in Algorithm 1.  Failed devices
+        are invisible until repaired and cordoned devices take no new
+        placements; sleeping devices stay in (a policy that only walks
+        awake devices filters on ``asleep``).  Ties break by gpu_id so
+        the order — and therefore every experiment — is deterministic.
         """
-        if active_only:
-            views = self.active_views()
-        else:
-            views = [v for v in self.snapshot() if not v.failed and not v.cordoned]
+        views = [v for v in self.snapshot() if not v.failed and not v.cordoned]
         return sorted(views, key=lambda v: (-v.free_alloc_mb, v.gpu_id))
 
     def cluster_utilization(self, window: float, now: float, metric: str = "sm_util") -> np.ndarray:

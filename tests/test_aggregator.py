@@ -95,10 +95,15 @@ class TestAggregator:
         order = [v.gpu_id for v in agg.sorted_by_free_memory()]
         assert order == ["node2/gpu0", "node1/gpu0"]
 
-    def test_active_views_exclude_sleepers(self, monitored_nodes):
+    def test_sorted_by_free_memory_keeps_sleepers_drops_failed(self, monitored_nodes):
         nodes, _, agg = monitored_nodes
         nodes[1].gpus[0].sleep()
-        assert [v.gpu_id for v in agg.active_views()] == ["node1/gpu0"]
+        views = agg.sorted_by_free_memory()
+        assert [(v.gpu_id, v.asleep) for v in views] == [
+            ("node2/gpu0", True), ("node1/gpu0", False),
+        ]
+        nodes[0].gpus[0].fail()
+        assert [v.gpu_id for v in agg.sorted_by_free_memory()] == ["node2/gpu0"]
 
     def test_cluster_utilization_matrix(self, monitored_nodes):
         nodes, monitors, agg = monitored_nodes

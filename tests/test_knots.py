@@ -58,19 +58,18 @@ class TestMonitoring:
 
 
 class TestDeviceLists:
-    def test_active_sorted_by_free_memory(self, knots):
+    def test_all_sorted_by_free_memory(self, knots):
         cluster, k = knots
         run_load(cluster, 2, k)
-        order = [v.gpu_id for v in k.active_gpus_by_free_memory()]
+        order = [v.gpu_id for v in k.all_gpus_by_free_memory()]
         assert order == ["node2/gpu0", "node1/gpu0"]
 
-    def test_sleeping_devices_excluded_from_active(self, knots):
+    def test_sleeping_devices_listed_with_flag(self, knots):
         cluster, k = knots
         cluster.find_gpu("node2/gpu0").sleep()
-        active = k.active_gpus_by_free_memory()
-        assert [v.gpu_id for v in active] == ["node1/gpu0"]
         everything = k.all_gpus_by_free_memory()
         assert len(everything) == 2
+        assert [v.gpu_id for v in everything if v.asleep] == ["node2/gpu0"]
 
     def test_profiles_store_attached(self, knots):
         _, k = knots

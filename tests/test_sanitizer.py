@@ -14,7 +14,9 @@ from repro.analysis.sanitizer import INVARIANTS, Sanitizer, SanitizerError, Viol
 from repro.cluster.cluster import make_paper_cluster
 from repro.cluster.node import GpuNode
 from repro.core.knots import Knots, KnotsConfig
+from repro.core.orchestrator import KubeKnots
 from repro.core.schedulers import make_scheduler
+from repro.core.schedulers.base import Scheduler, Sleep
 from repro.kube.api import APIServer
 from repro.kube.device_plugin import InvalidResizeError
 from repro.kube.kubelet import Kubelet, KubeletConfig
@@ -185,6 +187,52 @@ class TestDlSimulatorInvariants:
         assert sanitized_obs.sanitizer.checks > 0
 
 
+class LateSleeper(Scheduler):
+    """Breaks the idle-pass contract of ``Scheduler.schedule``: with
+    nothing pending it sleeps a device once ``now`` passes a threshold,
+    a time-driven action no node epoch records."""
+
+    name = "late-sleeper"
+
+    def __init__(self, after_ms: float) -> None:
+        self.after_ms = after_ms
+
+    def schedule(self, ctx):
+        if ctx.pending or ctx.now < self.after_ms:
+            return []
+        return [Sleep("node1/gpu0")]
+
+
+class TestIdlePassNoop:
+    def test_acting_on_a_skipped_pass_trips(self, sanitized_obs):
+        kk = KubeKnots(make_paper_cluster(num_nodes=2), LateSleeper(after_ms=100.0),
+                       obs=sanitized_obs)
+        for now in (0.0, 20.0, 40.0):   # one executed no-op, then skips
+            assert kk.scheduling_pass(now) == []
+        assert sanitized_obs.sanitizer.violations == []
+        with pytest.raises(SanitizerError) as exc:
+            kk.scheduling_pass(120.0)
+        assert exc.value.violation.invariant == "idle_pass_noop"
+
+    def test_actions_of_a_skipped_pass_are_not_applied(self):
+        obs = Observability(trace=False, metrics=False, audit=True,
+                            sanitize=True, halt_on_violation=False)
+        kk = KubeKnots(make_paper_cluster(num_nodes=2), LateSleeper(after_ms=100.0), obs=obs)
+        assert kk.scheduling_pass(0.0) == []
+        assert kk.scheduling_pass(120.0) == []
+        assert [v.invariant for v in obs.sanitizer.violations] == ["idle_pass_noop"]
+        assert not kk.cluster.find_gpu("node1/gpu0").asleep
+
+    @pytest.mark.parametrize("name", ["cbp", "peak-prediction"])
+    def test_contract_keeping_policies_skip_clean(self, name):
+        obs = Observability(trace=False, metrics=True, audit=True, sanitize=True)
+        kk = KubeKnots(make_paper_cluster(num_nodes=2), make_scheduler(name), obs=obs)
+        for now in (0.0, 20.0, 40.0, 60.0, 80.0):
+            kk.scheduling_pass(now)
+        assert obs.metrics.get("scheduler_passes_skipped_total").value() >= 3
+        assert obs.sanitizer.violations == []
+
+
 class TestResizeGuards:
     def test_negative_resize_is_a_typed_error(self):
         node = GpuNode.build("n")
@@ -243,7 +291,7 @@ class TestReporting:
             "memory_conservation", "sm_shares", "schedule_in_past",
             "time_monotonicity", "heap_consistency", "telemetry_staleness",
             "pool_accounting", "fast_forward_quiescence",
-            "capacity_conservation",
+            "capacity_conservation", "idle_pass_noop",
         }
 
 

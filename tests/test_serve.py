@@ -383,7 +383,6 @@ class TestFrontDoorE2E:
         svc = KnotsService(cfg)
         front = FrontDoor(svc, "127.0.0.1", 0).start()
         runner = threading.Thread(target=svc.run, daemon=True)
-        runner.start()
         try:
             base = front.address
             status, body = _get(f"{base}/healthz")
@@ -394,6 +393,9 @@ class TestFrontDoorE2E:
             assert status == 400
 
             # A burst far above queue capacity: some accepted, some shed.
+            # It lands before the service loop starts draining the queue
+            # (one client's sequential POSTs are slower than a drain), so
+            # the first `queue_capacity` answers are 202 and the rest 429.
             codes = []
             retry_after = None
             for i in range(80):
@@ -406,6 +408,7 @@ class TestFrontDoorE2E:
             assert codes.count(202) >= 1, "no request was admitted"
             assert codes.count(429) >= 1, "backpressure never engaged"
             assert retry_after is not None and int(retry_after) >= 1
+            runner.start()
 
             # Wait until at least one admitted pod got a placement.
             deadline = time.monotonic() + 60.0
