@@ -41,6 +41,11 @@ paper's results silently rely on:
     A scheduling pass the orchestrator skips as a repeat of the last
     no-op pass (nothing pending, no node epoch moved) really is one:
     the policy, asked anyway, returns no actions.
+``mirror_consistency``
+    Every device view of Algorithm 1's sorted list, built from the
+    ``ClusterState`` columns, equals what its GPU object reports: free
+    memory, the latest sample's used memory and SM utilization, the
+    container count, and the asleep, failed and cordoned flags.
 
 A :class:`Sanitizer` rides on the :class:`repro.obs.Observability`
 bundle (``Observability(sanitize=True)``); every instrumented call site
@@ -74,6 +79,7 @@ INVARIANTS = (
     "fast_forward_quiescence",
     "capacity_conservation",
     "idle_pass_noop",
+    "mirror_consistency",
 )
 
 _EPS = 1e-6
@@ -207,8 +213,8 @@ class Sanitizer:
             self.check_gpu(gpu)
 
     def check_view(self, view) -> None:
-        """Aggregator snapshot consistency: the head-node's view of a
-        device must itself conserve memory (Fig. 5's data path can only
+        """Device-view consistency: the head-node's view of a device
+        must itself conserve memory (Fig. 5's data path can only
         corrupt a scheduler if the *view* is wrong)."""
         self.checks += 1
         if view.free_alloc_mb < -_EPS:
@@ -225,6 +231,30 @@ class Sanitizer:
                 mem_used_mb=view.mem_used_mb,
                 capacity_mb=view.mem_capacity_mb,
             )
+
+    def check_mirror(self, view, gpu: "GPU") -> None:
+        """A device view built from the ``ClusterState`` mirror equals
+        what its GPU object reports, exactly (code that writes a
+        reservation behind the device's back leaves the mirror stale)."""
+        self.checks += 1
+        sample = gpu.last_sample
+        device = (
+            ("free_alloc_mb", gpu.free_mem_mb),
+            ("mem_used_mb", sample.mem_used_mb),
+            ("sm_util", sample.sm_util),
+            ("num_containers", len(gpu.containers)),
+            ("asleep", gpu.asleep),
+            ("failed", gpu.failed),
+            ("cordoned", gpu.cordoned),
+        )
+        for name, expected in device:
+            mirrored = getattr(view, name)
+            if mirrored != expected:
+                self.violation(
+                    "mirror_consistency",
+                    f"ClusterState mirror disagrees with {view.gpu_id} on {name}",
+                    gpu=view.gpu_id, field=name, mirror=mirrored, device=expected,
+                )
 
     def check_shares(self, gpu_id: str, shares: Mapping[str, float]) -> None:
         """Every granted SM share lies in [0, 1]."""

@@ -4,17 +4,20 @@ Knots is the glue between raw device telemetry and scheduling policy:
 
 * it owns one :class:`NodeMonitor` per worker, each writing the five
   GPU metrics into the node-local TSDB every *heartbeat*;
-* it owns the head-node :class:`UtilizationAggregator`, the only view
-  schedulers get of the cluster;
+* it owns the head-node :class:`UtilizationAggregator`, through which
+  schedulers read every telemetry window;
 * it owns the :class:`ProfileStore` of per-image usage profiles built
   from runtime feedback (no a priori profiling);
 * it exposes Algorithm 1's primitives: ``query`` (all metric windows
-  for a device) and the sorted active-device list.
+  for a device) and the device list sorted by free memory, built from
+  the cluster's :class:`~repro.cluster.state.ClusterState` columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.core.profiles import ProfileStore
@@ -61,6 +64,12 @@ class Knots:
         self._m_heartbeats = self.obs.metrics.counter(
             "knots_heartbeats_total", "Monitoring-plane sampling rounds"
         )
+        self._m_snapshots = self.obs.metrics.counter(
+            "aggregator_snapshots_total", "Instantaneous cluster snapshots served"
+        )
+        # Static view columns, in ClusterState row order.
+        self._view_ids = np.array(self.state.gpu_ids, dtype=object)
+        self._view_nodes = np.array(self.state.node_ids, dtype=object)[self.state.node_of]
 
     # -- monitoring plane ---------------------------------------------------
 
@@ -97,5 +106,41 @@ class Knots:
 
     def all_gpus_by_free_memory(self) -> list[GpuView]:
         """``Sort_by_Free_Memory`` over every placeable device, sleeping
-        ones included."""
-        return self.aggregator.sorted_by_free_memory()
+        ones included, by free (unreserved) memory, descending.
+
+        Failed devices are invisible until repaired and cordoned devices
+        take no new placements; sleeping devices stay in (a policy that
+        only walks awake devices filters on ``asleep``).  Ties break by
+        gpu_id so the order, and therefore every experiment, is
+        deterministic.
+
+        One ``lexsort`` over the ``ClusterState`` columns gives the
+        order (``id_rank`` reproduces Python's string order) and every
+        field is a column read.  ``ClusterState`` re-sums reservations
+        on every mutation, so ``free_alloc_mb`` is bit-identical to
+        ``gpu.free_mem_mb``.  Under the sanitizer each view is checked
+        against its GPU object (``mirror_consistency``) and for memory
+        conservation.
+        """
+        self._m_snapshots.inc()
+        cs = self.state
+        free = cs.mem_capacity_mb - cs.alloc_mb
+        rows = np.flatnonzero(~(cs.failed | cs.cordoned))
+        order = rows[np.lexsort((cs.id_rank[rows], -free[rows]))]
+        views = list(map(
+            GpuView,
+            self._view_ids[order].tolist(),
+            self._view_nodes[order].tolist(),
+            cs.mem_capacity_mb[order].tolist(),
+            free[order].tolist(),
+            cs.mem_used_mb[order].tolist(),
+            cs.sm_util[order].tolist(),
+            cs.num_containers[order].tolist(),
+            cs.asleep[order].tolist(),
+        ))
+        san = self.obs.sanitizer
+        if san is not None:
+            for view in views:
+                san.check_mirror(view, self.cluster.find_gpu(view.gpu_id))
+                san.check_view(view)
+        return views

@@ -216,11 +216,10 @@ class Scheduler(ABC):
         The fast quantum keeps the SoA sample mirror exact but lets the
         per-object ``gpu.last_sample`` go stale between rare events, so
         it is only safe under policies that read telemetry through
-        ``ClusterState`` (the PR 8 fast pass), never through the
-        aggregator's object snapshot.  Defaults to ``False``; CBP/PP
-        opt in with the same exact-type + ``vectorized`` gate as the
-        scheduling fast pass, and wrappers delegate to their inner
-        policy.
+        ``ClusterState`` (the PR 8 fast pass), never from the GPU
+        objects.  Defaults to ``False``; CBP/PP opt in with the same
+        exact-type + ``vectorized`` gate as the scheduling fast pass,
+        and wrappers delegate to their inner policy.
         """
         return False
 

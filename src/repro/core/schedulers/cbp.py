@@ -141,7 +141,7 @@ class CBPScheduler(Scheduler):
         """The vectorized execution quantum is safe under stock CBP:
         with observability off it always takes the array-native pass,
         which reads telemetry through ``ClusterState`` (kept exact by
-        the quantum), never through the per-object aggregator snapshot.
+        the quantum), never from the GPU objects.
         Subclasses that override candidate ordering fall back to the
         dict pass, so the same exact-type gate applies."""
         return type(self) is CBPScheduler and self.vectorized

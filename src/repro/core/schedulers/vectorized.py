@@ -1,10 +1,11 @@
 """Array-native scheduling pass state (the 1024-node fast path).
 
-The legacy pass materializes one :class:`~repro.telemetry.aggregator.GpuView`
-per device per pass, five ``PassState`` dicts keyed by gpu_id, and a
-full Python ``sorted`` of every device per pending pod.  At 32x8 that
-is noise; at 1024x8 the pass spends milliseconds building views of
-devices it will never touch.
+The legacy pass takes Algorithm 1's sorted device list (one
+:class:`~repro.telemetry.aggregator.GpuView` per placeable device, read
+from the ClusterState columns), fills five ``PassState`` dicts keyed by
+gpu_id from it, and runs a full Python ``sorted`` of every device per
+pending pod.  At 32x8 that is noise; at 1024x8 the pass spends
+milliseconds on dict entries and sorts of devices it will never touch.
 
 :class:`ArrayPassState` keeps the same accounting as column vectors
 over the :class:`~repro.cluster.state.ClusterState` index, so

@@ -155,6 +155,14 @@ class Kubelet:
         changed state since the last executed step did so after
         ``prev_now`` (a state change re-arms stepping immediately), so
         the end-of-last-step snapshot is exact.
+
+        Running pods are grouped by device in one pass over the hosted
+        pods (dict order kept).  With ``prev_now`` given and no
+        sanitizer armed, a device that is asleep, empty, healthy and
+        already holds its asleep idle sample is not stepped: stepping it
+        would only set its ``idle_since`` to ``now``, and the next
+        step's ``prev_now`` replay restores that value before anything
+        reads it.
         """
         if prev_now is not None:
             for gpu_id in self._asleep_refresh:
@@ -164,8 +172,23 @@ class Kubelet:
 
         victims: list[Pod] = []
         san = self.obs.sanitizer
+        running_on: dict[str, list[Pod]] = {}
+        for pod in self._pods.values():
+            if pod.phase is PodPhase.RUNNING:
+                running_on.setdefault(pod.gpu_id, []).append(pod)
+        skip_parked = prev_now is not None and san is None
         for gpu in self.node.gpus:
-            self.step_device(gpu, now, dt_ms, victims, san)
+            running = running_on.get(gpu.gpu_id, ())
+            if (
+                skip_parked
+                and not running
+                and gpu.asleep
+                and not gpu.containers
+                and not gpu.failed
+                and gpu.last_sample is gpu.idle_sample()
+            ):
+                continue
+            self.step_device(gpu, now, dt_ms, victims, san, running)
         return victims
 
     def start_due_pods(self, now: float) -> None:
@@ -185,15 +208,19 @@ class Kubelet:
                     engine.on_pod_started(pod)
 
     def step_device(
-        self, gpu, now: float, dt_ms: float, victims: list[Pod], san=None
+        self, gpu, now: float, dt_ms: float, victims: list[Pod], san=None,
+        running=None,
     ) -> None:
         """Advance one device by one tick (the object execution path).
 
         The single per-device implementation: :meth:`step` calls it for
-        every device, and the vectorized quantum replays it verbatim
-        for devices hit by a rare event (OOM, completion, failure), so
-        both modes share one set of semantics.  OOM/eviction victims
-        are appended to ``victims``.
+        every device it steps, and the vectorized quantum replays it
+        verbatim for devices hit by a rare event (OOM, completion,
+        failure), so both modes share one set of semantics.
+        ``running`` is the device's RUNNING pods in hosting order;
+        :meth:`step` passes the lists it grouped, and a direct call
+        leaves it ``None`` to have them collected here.  OOM/eviction
+        victims are appended to ``victims``.
         """
         pods = self._pods
         if gpu.failed:
@@ -212,15 +239,16 @@ class Kubelet:
                         self._pod_trace_end(pod, "evicted", now)
             gpu.last_sample = gpu.idle_sample()
             return
-        running = (
-            [
-                p
-                for p in pods.values()
-                if p.gpu_id == gpu.gpu_id and p.phase is PodPhase.RUNNING
-            ]
-            if pods
-            else ()
-        )
+        if running is None:
+            running = (
+                [
+                    p
+                    for p in pods.values()
+                    if p.gpu_id == gpu.gpu_id and p.phase is PodPhase.RUNNING
+                ]
+                if pods
+                else ()
+            )
         if san is None and not running and not gpu.containers:
             # Idle device: ``arbitrate({})`` reduces to the idle
             # sample (every sum is empty, the power model sees the

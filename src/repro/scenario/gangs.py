@@ -89,9 +89,9 @@ class GangScheduler(Scheduler):
 
     def quantum_ok(self) -> bool:
         """Gang placement reads only allocation-derived view fields
-        (free memory, node id, failed/cordoned) — all object-synced —
-        so the vectorized quantum is safe exactly when the inner
-        policy's own telemetry reads are."""
+        (free memory, container count, node id), which the quantum
+        never leaves stale, so the vectorized quantum is safe exactly
+        when the inner policy's own telemetry reads are."""
         return self.inner.quantum_ok()
 
     # -- the pass ------------------------------------------------------------
@@ -112,13 +112,16 @@ class GangScheduler(Scheduler):
         return self.inner.schedule(sub)
 
     def _place_gangs(self, ctx: SchedulingContext, gang_pending: list[Pod]) -> list[Action]:
+        # Sleeping devices are candidates (a bind wakes them on admit);
+        # the list already leaves out failed and cordoned ones.  Under a
+        # policy that does not share devices, a member needs an empty
+        # device to itself.
         views = ctx.knots.all_gpus_by_free_memory()
+        exclusive = not self.requires_sharing
         free: dict[str, float] = {}
         node_of: dict[str, str] = {}
         for v in views:
-            # Sleeping devices are candidates (a bind wakes them on
-            # admit); failed/cordoned devices never are.
-            if v.failed or getattr(v, "cordoned", False):
+            if exclusive and v.num_containers:
                 continue
             free[v.gpu_id] = v.free_alloc_mb
             node_of[v.gpu_id] = v.node_id
@@ -143,7 +146,10 @@ class GangScheduler(Scheduler):
                 continue  # all-or-nothing: the whole gang waits
             for pod, gpu_id in zip(members, chosen):
                 alloc = pod.spec.requested_mem_mb
-                free[gpu_id] -= alloc
+                if exclusive:
+                    del free[gpu_id]
+                else:
+                    free[gpu_id] -= alloc
                 actions.append(Bind(pod_uid=pod.uid, gpu_id=gpu_id, alloc_mb=alloc))
                 self._audit_bind(
                     pod, gpu_id, alloc, queue_depth=len(ctx.pending),

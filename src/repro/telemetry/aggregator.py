@@ -6,15 +6,19 @@ Two pieces mirror the paper's Fig. 5 data path:
   the node's GPUs through the NVML layer and writes one point per
   (GPU, metric) into the node-local TSDB.
 * :class:`UtilizationAggregator` — runs on the head node; on demand it
-  queries every worker's TSDB for the recent window of any metric and
-  produces the cluster-wide view the schedulers consume (free memory
-  per GPU, recent utilization windows, sorted node lists).
+  queries every worker's TSDB for the recent window of any metric
+  (the utilization windows the schedulers consume).
+
+:class:`GpuView` is one device in Algorithm 1's ``Sort_by_Free_Memory``
+list.  :meth:`repro.core.knots.Knots.all_gpus_by_free_memory` builds
+that list from the :class:`~repro.cluster.state.ClusterState` columns
+(one sort over the arrays, every field a column read), not by walking
+the GPU objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,9 +56,12 @@ class NodeMonitor:
         return {m: windows[k] for m, k in zip(metrics, keys)}
 
 
-@dataclass(frozen=True)
-class GpuView:
-    """Aggregator's snapshot of one device at query time."""
+class GpuView(NamedTuple):
+    """Head-node snapshot of one device at query time.
+
+    A named tuple rather than a frozen dataclass: a pass builds one per
+    placeable device, and the tuple costs a fraction to construct.
+    """
 
     gpu_id: str
     node_id: str
@@ -76,8 +83,9 @@ class GpuView:
 class UtilizationAggregator:
     """Head-node aggregator over all worker TSDBs (Fig. 5).
 
-    The aggregator is the only path through which schedulers observe the
-    cluster — they never touch simulator internals directly, exactly as
+    Every windowed telemetry read a scheduler makes goes through the
+    aggregator; the instantaneous device list comes from Knots.
+    Schedulers never touch simulator internals directly, exactly as
     Kube-Knots' schedulers only see what Knots reports.
     """
 
@@ -88,12 +96,8 @@ class UtilizationAggregator:
             raise ValueError("aggregator needs at least one node monitor")
         self._monitors = {m.node.node_id: m for m in monitors}
         obs = obs or NOOP
-        self._san = obs.sanitizer
         self._m_queries = obs.metrics.counter(
             "aggregator_queries_total", "Windowed telemetry queries served", labelnames=("metric",)
-        )
-        self._m_snapshots = obs.metrics.counter(
-            "aggregator_snapshots_total", "Instantaneous cluster snapshots served"
         )
 
     @property
@@ -127,47 +131,6 @@ class UtilizationAggregator:
         for metric in METRICS:
             self._m_queries.inc(metric=metric)
         return mon.series_many(gpu_id, METRICS, window, now)
-
-    # -- instantaneous cluster snapshot ------------------------------------
-
-    def snapshot(self) -> list[GpuView]:
-        """Current view of every device, from the latest telemetry."""
-        self._m_snapshots.inc()
-        views: list[GpuView] = []
-        for node_id in self.node_ids:
-            node = self._monitors[node_id].node
-            for gpu in node.gpus:
-                s = gpu.last_sample
-                views.append(
-                    GpuView(
-                        gpu_id=gpu.gpu_id,
-                        node_id=node_id,
-                        mem_capacity_mb=gpu.mem_capacity_mb,
-                        free_alloc_mb=gpu.free_mem_mb,
-                        mem_used_mb=s.mem_used_mb,
-                        sm_util=s.sm_util,
-                        num_containers=len(gpu.containers),
-                        asleep=gpu.asleep,
-                        failed=gpu.failed,
-                        cordoned=gpu.cordoned,
-                    )
-                )
-        if self._san is not None:
-            for view in views:
-                self._san.check_view(view)
-        return views
-
-    def sorted_by_free_memory(self) -> list[GpuView]:
-        """Placeable devices sorted by free (unreserved) memory, descending.
-
-        This is ``Sort_by_Free_Memory`` in Algorithm 1.  Failed devices
-        are invisible until repaired and cordoned devices take no new
-        placements; sleeping devices stay in (a policy that only walks
-        awake devices filters on ``asleep``).  Ties break by gpu_id so
-        the order — and therefore every experiment — is deterministic.
-        """
-        views = [v for v in self.snapshot() if not v.failed and not v.cordoned]
-        return sorted(views, key=lambda v: (-v.free_alloc_mb, v.gpu_id))
 
     def cluster_utilization(self, window: float, now: float, metric: str = "sm_util") -> np.ndarray:
         """Stacked per-device series for a metric, shape (n_gpus, n_pts).

@@ -84,27 +84,6 @@ class TestAggregator:
         stats = agg.query_node_stats("node1/gpu0", window=10.0, now=1.0)
         assert set(stats) == {"sm_util", "mem_util", "power_w", "tx_mbps", "rx_mbps"}
 
-    def test_snapshot_reflects_allocations(self, monitored_nodes):
-        nodes, _, agg = monitored_nodes
-        views = {v.gpu_id: v for v in agg.snapshot()}
-        assert views["node1/gpu0"].free_alloc_mb == 16_384 - 4_000
-        assert views["node2/gpu0"].free_alloc_mb == 16_384
-
-    def test_sorted_by_free_memory_descending(self, monitored_nodes):
-        _, _, agg = monitored_nodes
-        order = [v.gpu_id for v in agg.sorted_by_free_memory()]
-        assert order == ["node2/gpu0", "node1/gpu0"]
-
-    def test_sorted_by_free_memory_keeps_sleepers_drops_failed(self, monitored_nodes):
-        nodes, _, agg = monitored_nodes
-        nodes[1].gpus[0].sleep()
-        views = agg.sorted_by_free_memory()
-        assert [(v.gpu_id, v.asleep) for v in views] == [
-            ("node2/gpu0", True), ("node1/gpu0", False),
-        ]
-        nodes[0].gpus[0].fail()
-        assert [v.gpu_id for v in agg.sorted_by_free_memory()] == ["node2/gpu0"]
-
     def test_cluster_utilization_matrix(self, monitored_nodes):
         nodes, monitors, agg = monitored_nodes
         for t in range(10):

@@ -133,3 +133,61 @@ class TestAutoPState:
         assert harvested == 1_500
         assert pod.alloc_mb == 2_500
         assert len(api.events_of(EventType.RESIZED)) == 1
+
+
+class TestParkedDeviceSkip:
+    """A sleeping, empty device is not stepped when ``prev_now`` is
+    given; the replay of the asleep refresh keeps its idle clock exact."""
+
+    WAKE_AT = 300.0
+
+    def _drive(self, skipping: bool):
+        """Tick a two-device node whose n/gpu1 sleeps until a Wake at
+        :attr:`WAKE_AT`, the way the orchestrator does (``prev_now`` and
+        a quiet horizon per step) or as a full walk (no ``prev_now``)."""
+        node = GpuNode.build("n", num_gpus=2)
+        api = APIServer()
+        kubelet = Kubelet(node, api, config=KubeletConfig(
+            image_pull_ms=10.0, warm_start_ms=10.0, auto_pstate_idle_ms=200.0))
+        kubelet.prewarm({"img/toy"})
+        bind_and_admit(api, kubelet, make_spec(duration_ms=10_000.0))
+        parked = node.gpus[1]
+        parked.sleep()
+        stepped: list[float] = []
+        step_device = kubelet.step_device
+
+        def spy(gpu, now, *args):
+            if gpu is parked:
+                stepped.append(now)
+            step_device(gpu, now, *args)
+
+        kubelet.step_device = spy
+        trace = []
+        prev = None
+        for t in range(0, 1_000, 10):
+            now = float(t)
+            if now == self.WAKE_AT:
+                parked.asleep = False   # what an applied Wake does
+            kubelet.step(now, 10.0, prev if skipping else None)
+            if skipping:
+                kubelet.quiet_horizon(now, 10.0)
+            prev = now
+            trace.append((now, parked.asleep, kubelet._idle_since[parked.gpu_id]))
+        return trace, stepped
+
+    def test_woken_device_restarts_idle_clock_as_under_full_walk(self):
+        skip_trace, skip_steps = self._drive(skipping=True)
+        full_trace, full_steps = self._drive(skipping=False)
+        # Parked from the first tick (which writes its asleep sample)
+        # until the Wake: never stepped.
+        assert [t for t in skip_steps if t < self.WAKE_AT] == [0.0]
+        assert len(full_steps) == len(full_trace)
+        # The same power states throughout ...
+        assert [s[:2] for s in skip_trace] == [s[:2] for s in full_trace]
+        # ... and, from the Wake until it falls asleep again, the same
+        # idle clock: restarted from the last tick it slept through.
+        resleep = next(t for t, asleep, _ in full_trace if t > self.WAKE_AT and asleep)
+        assert resleep == self.WAKE_AT - 10.0 + 200.0
+        awake = [s for s in full_trace if self.WAKE_AT <= s[0] <= resleep]
+        assert [s for s in skip_trace if self.WAKE_AT <= s[0] <= resleep] == awake
+        assert awake[0][2] == self.WAKE_AT - 10.0

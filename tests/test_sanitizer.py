@@ -233,6 +233,49 @@ class TestIdlePassNoop:
         assert obs.sanitizer.violations == []
 
 
+class TestMirrorConsistency:
+    def _hosting(self, obs):
+        """A sanitized orchestrator with one pod bound to node1/gpu0."""
+        kk = KubeKnots(make_paper_cluster(num_nodes=2), make_scheduler("cbp"), obs=obs)
+        pod = kk.api.submit(make_spec(duration_ms=5_000.0), 0.0)
+        kk.scheduling_pass(0.0)
+        assert pod.gpu_id is not None
+        return kk, pod
+
+    def test_reservation_written_behind_the_mirror_trips(self, sanitized_obs):
+        kk, pod = self._hosting(sanitized_obs)
+        gpu = kk.cluster.find_gpu(pod.gpu_id)
+        # Planted drift: shrink the reservation without going through
+        # GPU.resize, so ClusterState never re-sums it.
+        gpu.containers[pod.uid].alloc_mb /= 2
+        kk.api.submit(make_spec("next", duration_ms=5_000.0), 20.0)
+        with pytest.raises(SanitizerError) as exc:
+            kk.scheduling_pass(20.0)
+        violation = exc.value.violation
+        assert violation.invariant == "mirror_consistency"
+        assert violation.details["gpu"] == pod.gpu_id
+        assert violation.details["field"] == "free_alloc_mb"
+
+    def test_sample_column_drift_trips(self):
+        obs = Observability(trace=False, metrics=False, audit=True,
+                            sanitize=True, halt_on_violation=False)
+        kk, pod = self._hosting(obs)
+        state = kk.cluster.state
+        state.mem_used_mb[state.index[pod.gpu_id]] += 1.0
+        kk.knots.all_gpus_by_free_memory()
+        assert [(v.invariant, v.details["field"]) for v in obs.sanitizer.violations] == [
+            ("mirror_consistency", "mem_used_mb"),
+        ]
+
+    def test_consistent_mirror_is_checked_clean(self, sanitized_obs):
+        kk, _ = self._hosting(sanitized_obs)
+        checks = sanitized_obs.sanitizer.checks
+        views = kk.knots.all_gpus_by_free_memory()
+        # One mirror check and one view check per listed device.
+        assert sanitized_obs.sanitizer.checks == checks + 2 * len(views)
+        assert sanitized_obs.sanitizer.violations == []
+
+
 class TestResizeGuards:
     def test_negative_resize_is_a_typed_error(self):
         node = GpuNode.build("n")
@@ -291,7 +334,7 @@ class TestReporting:
             "memory_conservation", "sm_shares", "schedule_in_past",
             "time_monotonicity", "heap_consistency", "telemetry_staleness",
             "pool_accounting", "fast_forward_quiescence",
-            "capacity_conservation", "idle_pass_noop",
+            "capacity_conservation", "idle_pass_noop", "mirror_consistency",
         }
 
 

@@ -240,6 +240,28 @@ class TestGangScheduler:
             )
         assert results[0] == results[1]
 
+    def test_exclusive_inner_takes_only_empty_devices(self):
+        # Uniform does not share devices: a gang member may not land on
+        # node1/gpu0, which already hosts a pod, even though it fits by
+        # memory and node1 would be the tightest node.
+        cluster = make_paper_cluster(num_nodes=2, gpus_per_node=2)
+        kk = KubeKnots(cluster, GangScheduler(make_scheduler("uniform")))
+        kk.api.submit(make_spec("single", duration_ms=5_000.0), 0.0)
+        assert [a.gpu_id for a in kk.scheduling_pass(0.0)] == ["node1/gpu0"]
+        self._gang_pods(kk, size=2, now=20.0)
+        binds = [a for a in kk.scheduling_pass(20.0) if isinstance(a, Bind)]
+        assert sorted(b.gpu_id for b in binds) == ["node2/gpu0", "node2/gpu1"]
+
+    def test_exclusive_gangs_in_one_pass_never_share_a_device(self):
+        cluster = make_paper_cluster(num_nodes=1, gpus_per_node=3)
+        kk = KubeKnots(cluster, GangScheduler(make_scheduler("uniform")))
+        first = self._gang_pods(kk, size=2, gang_id="gang-0")
+        second = self._gang_pods(kk, size=2, gang_id="gang-1")
+        binds = [a for a in kk.scheduling_pass(0.0) if isinstance(a, Bind)]
+        assert sorted(b.pod_uid for b in binds) == sorted(p.uid for p in first)
+        assert len({b.gpu_id for b in binds}) == 2
+        assert all(p.phase is PodPhase.PENDING for p in second)
+
     def test_name_and_sharing_follow_inner(self):
         inner = make_scheduler("peak-prediction")
         wrapped = GangScheduler(inner)
