@@ -4,8 +4,8 @@ A full Python reproduction of *"Kube-Knots: Resource Harvesting through
 Dynamic Container Orchestration in GPU-based Datacenters"* (Thinakaran
 et al., IEEE CLUSTER 2019), including every substrate the paper runs
 on: a discrete-event GPU cluster simulator, a Kubernetes-like
-orchestration layer, the Knots telemetry plane (NVML sampler + per-node
-TSDB + head-node aggregator), the CBP and Peak Prediction schedulers,
+orchestration layer, the Knots telemetry plane (NVML sampler + one
+cluster-wide telemetry ring), the CBP and Peak Prediction schedulers,
 the Uniform / Res-Ag / Gandiva / Tiresias baselines, the Rodinia /
 Djinn&Tonic / Alibaba workload models, and a benchmark harness that
 regenerates every figure and table of the paper's evaluation.

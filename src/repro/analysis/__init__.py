@@ -12,7 +12,7 @@ path, a layered architecture):
   (simulation stack never imports drivers; no module cycles), run as
   ``python -m repro lint --layers``;
 * :mod:`repro.analysis.sanitizer` — an ASan-style runtime sanitizer
-  wired into the event loop, kubelets, Knots and the aggregator,
+  wired into the event loop, kubelets and Knots,
   enabled with ``--sanitize`` on ``simulate``/``dlsim`` or the
   ``sanitized_obs`` pytest fixture;
 * :mod:`repro.analysis.racedetect` — a TSan-style runtime lock-order /

@@ -14,7 +14,7 @@ properties that only exist at runtime, across threads:
     never actually fired in this run.
 ``owner_thread``
     Single-threaded resources (the :class:`~repro.sim.engine.EventLoop`
-    while running, each node-local TSDB, the tracer's span stack) are
+    while running, the Knots telemetry ring, the tracer's span stack) are
     only touched by the thread that owns them.  Ownership binds to the
     first touching thread (or is rebound explicitly at sanctioned
     hand-off points, e.g. :meth:`EventLoop.run` entry); any other

@@ -351,7 +351,7 @@ class Sanitizer:
         """The newest sample must be at most ``slack`` heartbeats old.
 
         Empty windows are exempt: a fresh node legitimately looks empty
-        to the aggregator before its first heartbeat, and schedulers
+        to Knots before its first heartbeat, and schedulers
         handle that case explicitly.
         """
         self.checks += 1

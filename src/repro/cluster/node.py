@@ -1,10 +1,11 @@
 """Worker and head node models.
 
 A :class:`GpuNode` is a Dell-R730-like worker: a CPU host plus one or
-more GPUs and a node-local time-series database into which the Knots
-monitor logs telemetry (the paper runs one InfluxDB per worker).  The
-head node runs the Kubernetes control plane and the Knots utilization
-aggregator and has no GPU.
+more GPUs.  The paper runs one InfluxDB per worker into which the Knots
+monitor logs telemetry; here all workers' telemetry lives in one
+cluster-wide ring (:mod:`repro.telemetry.matrix`).  The head node runs
+the Kubernetes control plane and the Knots utilization aggregator and
+has no GPU.
 """
 
 from __future__ import annotations

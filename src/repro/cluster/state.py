@@ -27,10 +27,12 @@ is bit-identical to ``gpu.free_mem_mb`` computed fresh.  Code that
 mutates a ``ContainerAllocation.alloc_mb`` directly (some sanitizer
 tests do, to corrupt state on purpose) bypasses the mirror.  Under the
 sanitizer the array scheduling pass and the vectorized quantum stay
-off, and the one mirror read that remains, Algorithm 1's sorted device
-list (``Knots.all_gpus_by_free_memory``), compares every view it builds
-with its GPU object, so such drift is reported as
-``mirror_consistency`` instead of steering a decision.
+off, and the one allocation read that remains, Algorithm 1's sorted
+device list (``Knots.all_gpus_by_free_memory``), compares every view it
+builds with its GPU object, so such drift is reported as
+``mirror_consistency`` instead of steering a decision.  The sample
+columns feed the Knots telemetry ring and the simulator's energy and
+utilization record in every run, sanitized or not.
 
 Each mutation also bumps a per-node *epoch* counter, which is what lets
 the orchestrator skip quiescent kubelets and schedulers reuse cached

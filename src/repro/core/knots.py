@@ -2,10 +2,10 @@
 
 Knots is the glue between raw device telemetry and scheduling policy:
 
-* it owns one :class:`NodeMonitor` per worker, each writing the five
-  GPU metrics into the node-local TSDB every *heartbeat*;
-* it owns the head-node :class:`UtilizationAggregator`, through which
-  schedulers read every telemetry window;
+* every *heartbeat* it logs the five NVML metrics of every GPU into one
+  cluster-wide :class:`~repro.telemetry.matrix.MatrixTelemetry` ring
+  (the per-node TSDBs and head-node aggregator of the paper's Fig. 5,
+  as one store), and serves the schedulers' windowed reads from it;
 * it owns the :class:`ProfileStore` of per-image usage profiles built
   from runtime feedback (no a priori profiling);
 * it exposes Algorithm 1's primitives: ``query`` (all metric windows
@@ -16,17 +16,43 @@ Knots is the glue between raw device telemetry and scheduling policy:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.core.profiles import ProfileStore
 from repro.obs.context import NOOP, Observability
-from repro.telemetry.aggregator import GpuView, NodeMonitor, UtilizationAggregator
-from repro.telemetry.matrix import MatrixTelemetry, TsdbFacade
+from repro.telemetry.matrix import MatrixTelemetry
+from repro.telemetry.nvml import METRICS
 from repro.telemetry.tsdb import SeriesWindow
 
-__all__ = ["KnotsConfig", "Knots"]
+__all__ = ["KnotsConfig", "Knots", "GpuView"]
+
+
+class GpuView(NamedTuple):
+    """Head-node snapshot of one device at query time: one entry of
+    Algorithm 1's ``Sort_by_Free_Memory`` list.
+
+    A named tuple rather than a frozen dataclass: a pass builds one per
+    placeable device, and the tuple costs a fraction to construct.
+    """
+
+    gpu_id: str
+    node_id: str
+    mem_capacity_mb: float
+    free_alloc_mb: float      # unreserved memory (admission headroom)
+    mem_used_mb: float        # physically used right now (telemetry)
+    sm_util: float
+    num_containers: int
+    asleep: bool
+    failed: bool = False
+    cordoned: bool = False    # drained: residents run, no new placements
+
+    @property
+    def free_physical_mb(self) -> float:
+        """Physically unused memory — what harvesting can reclaim."""
+        return self.mem_capacity_mb - self.mem_used_mb
 
 
 @dataclass(frozen=True)
@@ -49,22 +75,20 @@ class Knots:
         self.cluster = cluster
         self.config = config or KnotsConfig()
         self.obs = obs or NOOP
-        #: Telemetry storage is the cluster-wide matrix ring; each node
-        #: monitor reads/writes it through a TSDB-compatible facade.
         self.state = cluster.state
+        #: Every device's telemetry, one column per ClusterState row.
         self.matrix = MatrixTelemetry(
             self.state, self.config.heartbeat_ms, self.config.window_ms
         )
-        self.monitors: dict[str, NodeMonitor] = {
-            node.node_id: NodeMonitor(node, tsdb=TsdbFacade(self.matrix, node))
-            for node in cluster
-        }
-        self.aggregator = UtilizationAggregator(list(self.monitors.values()), obs=self.obs)
         self.profiles = ProfileStore()
-        self._m_heartbeats = self.obs.metrics.counter(
+        metrics = self.obs.metrics
+        self._m_heartbeats = metrics.counter(
             "knots_heartbeats_total", "Monitoring-plane sampling rounds"
         )
-        self._m_snapshots = self.obs.metrics.counter(
+        self._m_queries = metrics.counter(
+            "aggregator_queries_total", "Windowed telemetry queries served", labelnames=("metric",)
+        )
+        self._m_snapshots = metrics.counter(
             "aggregator_snapshots_total", "Instantaneous cluster snapshots served"
         )
         # Static view columns, in ClusterState row order.
@@ -74,35 +98,34 @@ class Knots:
     # -- monitoring plane ---------------------------------------------------
 
     def heartbeat(self, now: float) -> None:
-        """Sample every node's devices into its TSDB (one heartbeat).
-
-        One vectorized row append covers every clean node; nodes whose
-        facade was written to directly (tests seeding telemetry) keep
-        the legacy per-series monitor walk into their override store.
-        """
+        """Log every device's current sample (one heartbeat): one
+        vectorized row append to the telemetry ring."""
         self.matrix.append_from_state(now)
-        for node_id in self.matrix.dirty_nodes:
-            self.monitors[node_id].heartbeat(now)
         self._m_heartbeats.inc()
 
     # -- Algorithm 1 primitives ---------------------------------------------
 
-    def query(self, gpu_id: str, now: float) -> dict[str, SeriesWindow]:
-        """``QUERY(gpu_node)``: recent windows of all five metrics."""
-        windows = self.aggregator.query_node_stats(gpu_id, self.config.window_ms, now)
+    def _windows(self, gpu_id: str, metrics: tuple[str, ...], now: float) -> dict[str, SeriesWindow]:
+        """The last ``window_ms`` of ``metrics`` for one device; an
+        unknown ``gpu_id`` raises ``KeyError``."""
+        windows = self.matrix.query(
+            self.state.index[gpu_id], metrics, now - self.config.window_ms, now
+        )
+        for metric in metrics:
+            self._m_queries.inc(metric=metric)
         san = self.obs.sanitizer
         if san is not None:
             for metric, window in windows.items():
                 san.check_window_fresh(gpu_id, metric, window, now, self.config.heartbeat_ms)
         return windows
 
+    def query(self, gpu_id: str, now: float) -> dict[str, SeriesWindow]:
+        """``QUERY(gpu_node)``: recent windows of all five metrics."""
+        return self._windows(gpu_id, METRICS, now)
+
     def memory_window(self, gpu_id: str, now: float) -> SeriesWindow:
         """The memory-utilization series PP autocorrelates and forecasts."""
-        window = self.aggregator.query(gpu_id, "mem_util", self.config.window_ms, now)
-        san = self.obs.sanitizer
-        if san is not None:
-            san.check_window_fresh(gpu_id, "mem_util", window, now, self.config.heartbeat_ms)
-        return window
+        return self._windows(gpu_id, ("mem_util",), now)["mem_util"]
 
     def all_gpus_by_free_memory(self) -> list[GpuView]:
         """``Sort_by_Free_Memory`` over every placeable device, sleeping

@@ -2,8 +2,8 @@
 
 Binds the Kubernetes substrate (API server + kubelets + device
 plugins), the Knots monitoring runtime, and one placement policy.  Each
-*scheduling pass* it assembles a :class:`SchedulingContext` from the
-Knots aggregator, asks the policy for actions, and applies them through
+*scheduling pass* it assembles a :class:`SchedulingContext` from
+Knots, asks the policy for actions, and applies them through
 the substrate — bind via the API server and kubelet, resize via the
 device plugin's docker-resize path, sleep/wake on the devices.
 """

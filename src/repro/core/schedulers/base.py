@@ -126,7 +126,7 @@ def resident_pressure(profiles, residents) -> tuple[float, float, list[float], i
 class PassState:
     """Mutable per-pass accounting the CBP/PP placement loop updates.
 
-    Built from the aggregator's device views at the start of a pass and
+    Built from Knots' device views at the start of a pass and
     kept consistent as binds/resizes are planned, so several decisions
     in one pass don't double-book a device.
     """

@@ -1,7 +1,7 @@
 """Array-native scheduling pass state (the 1024-node fast path).
 
 The legacy pass takes Algorithm 1's sorted device list (one
-:class:`~repro.telemetry.aggregator.GpuView` per placeable device, read
+:class:`~repro.core.knots.GpuView` per placeable device, read
 from the ClusterState columns), fills five ``PassState`` dicts keyed by
 gpu_id from it, and runs a full Python ``sorted`` of every device per
 pending pod.  At 32x8 that is noise; at 1024x8 the pass spends

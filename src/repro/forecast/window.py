@@ -2,7 +2,7 @@
 
 The harness behind Fig. 10b: take a fine-grained ground-truth
 utilization series, resample it at a given *heartbeat* interval (the
-rate at which the aggregator polls the node TSDBs), slide a fixed
+rate at which Knots logs device telemetry), slide a fixed
 five-second window along the resampled series, and score predictions
 against the truth.  Two evaluation modes:
 

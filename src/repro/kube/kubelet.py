@@ -303,14 +303,18 @@ class Kubelet:
             gpu.sleep()
 
     def quiet_horizon(self, now: float, dt_ms: float) -> float:
-        """Absolute time before which :meth:`step` is a proven no-op.
+        """Absolute time before which :meth:`step` is skipped.
 
         With no hosted pods, a step only (a) re-arbitrates empty devices
-        — whose ``last_sample`` is already at the idle fixed point — and
-        (b) fires the auto-pstate transition once an awake device has
-        idled long enough.  So until the earliest such transition the
-        whole step can be skipped without changing any observable state.
-        Returns ``-inf`` when the node must step every tick, ``+inf``
+        and (b) fires the auto-pstate transition once an awake device
+        has idled long enough, so the step is skipped until the earliest
+        such transition.  (a) is not always a no-op: a device whose last
+        pod finished in the last executed step still holds that step's
+        busy ``last_sample`` (SM, memory and power) and keeps it, in the
+        telemetry ring and the energy record, until the node steps
+        again.  A sanitized run steps every node every tick and records
+        the idle sample instead (ROADMAP: "Quiescence skipping holds
+        stale busy samples").  Returns ``-inf`` when the node must step every tick, ``+inf``
         when no timed transition is pending (external mutations bump the
         node epoch, which re-arms stepping).
 

@@ -240,10 +240,8 @@ class KnotsService:
         )
         if race is not None:
             # Single-threaded-by-contract structures get owner-thread
-            # guards: every node-local TSDB plus the tracer's span stack.
-            guard = race.affinity("TSDB")
-            for monitor in self.orchestrator.knots.monitors.values():
-                monitor.tsdb.guard = guard
+            # guards: the Knots telemetry ring plus the tracer's span stack.
+            self.orchestrator.knots.matrix.guard = race.affinity("TSDB")
             self.obs.tracer.guard = race.affinity("Tracer")
         self.pacer = WallClockPacer(cfg.speed, clock) if cfg.paced else None
         #: Called once per resolved submission (bind or shed) — the

@@ -82,7 +82,7 @@ def run_tick_reference(sim) -> "SimResult":  # noqa: F821 - forward ref, see imp
         # 2. execute one quantum on every node
         sim.orchestrator.step_kubelets(t, cfg.tick_ms)
 
-        # 3. telemetry heartbeat into the node TSDBs
+        # 3. telemetry heartbeat into the Knots telemetry ring
         if t >= next_heartbeat:
             sim.orchestrator.heartbeat(t)
             next_heartbeat = t + cfg.knots.heartbeat_ms

@@ -2,7 +2,7 @@
 
 Ties the whole stack together: workload arrivals are submitted to the
 API server, the Knots monitoring plane heartbeats device telemetry
-into the node TSDBs, the scheduler runs its passes, kubelets execute
+into its telemetry ring, the scheduler runs its passes, kubelets execute
 pods on the simulated GPUs, and energy/QoS/JCT accounting is collected
 into a :class:`SimResult` that the experiment modules turn into the
 paper's figures.
@@ -201,18 +201,13 @@ class KubeKnotsSimulator:
             for kubelet in self.orchestrator.kubelets.values():
                 kubelet.prewarm(images)
         self.state = cluster.state
-        #: Telemetry accounting is vectorized over the ClusterState
-        #: mirrors unless a per-device consumer is live: the tracer sums
-        #: per-GPU power inline, and the sanitizer cross-checks the
-        #: per-object path — both keep the legacy per-GPU loop.
-        self._vec_telemetry = not self.obs.tracer.enabled and self.obs.sanitizer is None
+        #: Telemetry accounting over the ClusterState sample mirrors:
+        #: per-device energy, and one sm/mem row per recorded span with
+        #: the number of ticks it covers.
         self._energy_arr = np.zeros(len(self.state))
         self._sm_rows: list[np.ndarray] = []
         self._mem_rows: list[np.ndarray] = []
         self._row_counts: list[int] = []
-        self._energy_j: dict[str, float] = {g.gpu_id: 0.0 for g in cluster.gpus()}
-        self._util_hist: dict[str, list[float]] = {g.gpu_id: [] for g in cluster.gpus()}
-        self._mem_hist: dict[str, list[float]] = {g.gpu_id: [] for g in cluster.gpus()}
         self._times: list[float] = []
         #: Run statistics (populated by :meth:`run`).
         self.events_fired = 0
@@ -288,47 +283,39 @@ class KubeKnotsSimulator:
         return self.collect_result(t_end)
 
     def collect_result(self, makespan_ms: float) -> SimResult:
-        """Assemble the :class:`SimResult` from whichever telemetry
-        store this run filled (shared with the reference driver)."""
+        """Assemble the :class:`SimResult` from the recorded telemetry
+        (shared with the reference driver)."""
         quantum = getattr(self.orchestrator, "quantum", None)
         if quantum is not None:
             # Write array-side progress back to the surviving pod
             # objects so per-pod accounting matches the object path.
             quantum.flush()
         api = self.orchestrator.api
-        if self._vec_telemetry:
-            gpu_ids = self.state.gpu_ids
-            if self._row_counts:
-                counts = np.asarray(self._row_counts)
-                # Transpose to device-major *before* expanding, so each
-                # per-device series comes out a row view — one bulk op
-                # instead of thousands of strided column extractions on
-                # wide clusters.  Dense runs (every count 1) skip the
-                # expansion entirely.
-                sm = np.vstack(self._sm_rows).T
-                mem = np.vstack(self._mem_rows).T
-                if int(counts.sum()) != len(self._row_counts):
-                    sm = np.repeat(sm, counts, axis=1)
-                    mem = np.repeat(mem, counts, axis=1)
-            else:
-                sm = mem = np.empty((len(gpu_ids), 0))
-            energy = {gid: float(self._energy_arr[i]) for i, gid in enumerate(gpu_ids)}
-            util_series = {gid: sm[i] for i, gid in enumerate(gpu_ids)}
-            mem_series = {gid: mem[i] for i, gid in enumerate(gpu_ids)}
+        gpu_ids = self.state.gpu_ids
+        if self._row_counts:
+            counts = np.asarray(self._row_counts)
+            # Transpose to device-major *before* expanding, so each
+            # per-device series comes out a row view — one bulk op
+            # instead of thousands of strided column extractions on
+            # wide clusters.  Dense runs (every count 1) skip the
+            # expansion entirely.
+            sm = np.vstack(self._sm_rows).T
+            mem = np.vstack(self._mem_rows).T
+            if int(counts.sum()) != len(self._row_counts):
+                sm = np.repeat(sm, counts, axis=1)
+                mem = np.repeat(mem, counts, axis=1)
         else:
-            energy = {k: v for k, v in self._energy_j.items()}
-            util_series = {k: np.asarray(v) for k, v in self._util_hist.items()}
-            mem_series = {k: np.asarray(v) for k, v in self._mem_hist.items()}
+            sm = mem = np.empty((len(gpu_ids), 0))
         return SimResult(
             scheduler=self.orchestrator.scheduler.name,
             pods=api.pods(),
             makespan_ms=makespan_ms,
-            energy_j_per_gpu=energy,
+            energy_j_per_gpu={gid: float(self._energy_arr[i]) for i, gid in enumerate(gpu_ids)},
             oom_kills=len(api.events_of(EventType.OOM_KILLED)),
             evictions=len(api.events_of(EventType.EVICTED)),
             resizes=len(api.events_of(EventType.RESIZED)),
-            gpu_util_series=util_series,
-            gpu_mem_series=mem_series,
+            gpu_util_series={gid: sm[i] for i, gid in enumerate(gpu_ids)},
+            gpu_mem_series={gid: mem[i] for i, gid in enumerate(gpu_ids)},
             sample_times_ms=np.asarray(self._times),
             fast_quantum_ticks=quantum.fast_ticks if quantum is not None else 0,
         )
@@ -426,15 +413,9 @@ class KubeKnotsSimulator:
             return
         if self._capacity is not None and self._capacity.pending:
             return                      # a capacity transition would wake the span
-        if self._vec_telemetry:
-            state = self.state
-            if not bool(np.all(state.asleep | state.failed)):
-                return                  # a device is awake: auto-p-state still settling
-            gpus: list = []
-        else:
-            gpus = list(self.cluster.gpus())
-            if any(not (g.asleep or g.failed) for g in gpus):
-                return                  # a device is awake: auto-p-state still settling
+        state = self.state
+        if not bool(np.all(state.asleep | state.failed)):
+            return                      # a device is awake: auto-p-state still settling
 
         cfg = self.config
         tick = cfg.tick_ms
@@ -477,36 +458,20 @@ class KubeKnotsSimulator:
         # an empty, parked device is a fixed point of the live path.
         # Energy stays a *repeated* addition (never ``inc * skipped``) so
         # floats match the tick loop bit for bit.
-        ms = ms_to_s(tick)
-        if self._vec_telemetry:
-            state = self.state
-            power = np.where(
-                (state.sample_containers > 0) | ~state.asleep,
-                state.power_w,
-                state.sleep_watts,
-            )
-            inc = power * ms
-            for _ in range(skipped):
-                self._energy_arr += inc
-            if skipped:
-                self._sm_rows.append(state.sm_util.copy())
-                self._mem_rows.append(state.mem_util.copy())
-                self._row_counts.append(skipped)
-        else:
-            for gpu in gpus:
-                s = gpu.last_sample
-                power = s.power_w if s.num_containers or not gpu.asleep else gpu.power_model.sleep_watts
-                inc = power * ms
-                e = self._energy_j[gpu.gpu_id]
-                for _ in range(skipped):
-                    e += inc
-                self._energy_j[gpu.gpu_id] = e
-                self._util_hist[gpu.gpu_id].extend([s.sm_util] * skipped)
-                self._mem_hist[gpu.gpu_id].extend([s.mem_util] * skipped)
+        inc = self._device_power() * ms_to_s(tick)
+        for _ in range(skipped):
+            self._energy_arr += inc
+        if skipped:
+            self._sm_rows.append(state.sm_util.copy())
+            self._mem_rows.append(state.mem_util.copy())
+            self._row_counts.append(skipped)
 
         if san is not None:
+            # Quiescence as the GPU objects see it, not the columns the
+            # guard above read.
             san.check_fast_forward(
-                now, tp, api.all_done(), all(g.asleep or g.failed for g in gpus)
+                now, tp, api.all_done(),
+                all(g.asleep or g.failed for g in self.cluster.gpus()),
             )
         self.fast_forwards += 1
         self.ticks_skipped += skipped
@@ -527,45 +492,40 @@ class KubeKnotsSimulator:
 
     # -- telemetry accounting ------------------------------------------------
 
+    def _device_power(self) -> np.ndarray:
+        """Each device's draw over the coming tick: its sample's power,
+        or the sleep wattage for an empty sleeping device (its last
+        arbitration already saw the sleep flag)."""
+        state = self.state
+        return np.where(
+            (state.sample_containers > 0) | ~state.asleep,
+            state.power_w,
+            state.sleep_watts,
+        )
+
     def _record(self, t: float, dt_ms: float) -> None:
         self._times.append(t)
-        if self._vec_telemetry:
-            state = self.state
-            power = np.where(
-                (state.sample_containers > 0) | ~state.asleep,
-                state.power_w,
-                state.sleep_watts,
-            )
-            self._energy_arr += power * ms_to_s(dt_ms)
-            self._sm_rows.append(state.sm_util.copy())
-            self._mem_rows.append(state.mem_util.copy())
-            self._row_counts.append(1)
-            return
-        tracing = self.obs.tracer.enabled
-        sm_sum = mem_sum = power_sum = 0.0
-        n = 0
-        for gpu in self.cluster.gpus():
-            s = gpu.last_sample
-            # A sleeping device's last arbitrate() saw no demands and the
-            # sleep flag, so its sample power already reflects p_state 12.
-            power = s.power_w if s.num_containers or not gpu.asleep else gpu.power_model.sleep_watts
-            self._energy_j[gpu.gpu_id] += power * ms_to_s(dt_ms)
-            self._util_hist[gpu.gpu_id].append(s.sm_util)
-            self._mem_hist[gpu.gpu_id].append(s.mem_util)
-            if tracing:
-                sm_sum += s.sm_util
-                mem_sum += s.mem_util
-                power_sum += power
-                n += 1
-        if tracing and n:
+        state = self.state
+        power = self._device_power()
+        self._energy_arr += power * ms_to_s(dt_ms)
+        self._sm_rows.append(state.sm_util.copy())
+        self._mem_rows.append(state.mem_util.copy())
+        self._row_counts.append(1)
+        tracer = self.obs.tracer
+        n = len(power)
+        if tracer.enabled and n:
             # Counter tracks render as stacked area charts in Perfetto.
-            self.obs.tracer.counter(
+            # ``cumsum`` adds in device order, like a running total.
+            tracer.counter(
                 "cluster_utilization",
-                {"sm_util_mean": sm_sum / n, "mem_util_mean": mem_sum / n},
+                {
+                    "sm_util_mean": float(np.cumsum(state.sm_util)[-1]) / n,
+                    "mem_util_mean": float(np.cumsum(state.mem_util)[-1]) / n,
+                },
                 ts=t,
             )
-            self.obs.tracer.counter("cluster_power_w", {"total": power_sum}, ts=t)
-            self.obs.tracer.counter(
+            tracer.counter("cluster_power_w", {"total": float(np.cumsum(power)[-1])}, ts=t)
+            tracer.counter(
                 "pending_pods", {"count": float(self.orchestrator.api.num_pending())}, ts=t
             )
 

@@ -37,7 +37,7 @@ class MixTask:
 
     ``scheduler_kwargs`` parameterizes the scheduler (the ablation
     sweeps: ``(("percentile", 90.0),)`` etc.); ``heartbeat_ms``
-    overrides the Knots aggregator cadence (the staleness ablation).
+    overrides the Knots heartbeat cadence (the staleness ablation).
     Pass kwargs as a *sorted* tuple of pairs so equal tasks spell
     equal reprs.
     """

@@ -1,13 +1,12 @@
-"""Knots telemetry plane: NVML sampler, per-node TSDB, aggregator."""
+"""Knots telemetry plane: NVML sampler, the cluster telemetry ring, a
+standalone ring-buffer TSDB."""
 
-from repro.telemetry.aggregator import GpuView, NodeMonitor, UtilizationAggregator
+from repro.telemetry.matrix import MatrixTelemetry
 from repro.telemetry.nvml import METRICS, NvmlContext, NvmlSampler
 from repro.telemetry.tsdb import SeriesWindow, TimeSeriesDB
 
 __all__ = [
-    "NodeMonitor",
-    "UtilizationAggregator",
-    "GpuView",
+    "MatrixTelemetry",
     "NvmlContext",
     "NvmlSampler",
     "METRICS",

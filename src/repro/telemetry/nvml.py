@@ -2,10 +2,14 @@
 
 The paper's Knots monitor calls pyNVML on every worker to read the five
 device metrics.  This module provides the same surface against
-:class:`repro.cluster.gpu.GPU` objects, so the monitoring code is
-written exactly as it would be against real hardware — a thin handle
-API (`device_get_handle_by_index`, `device_get_utilization_rates`, ...)
-plus the :class:`NvmlSampler` convenience used by Knots.
+:class:`repro.cluster.gpu.GPU` objects — a thin handle API
+(`device_get_handle_by_index`, `device_get_utilization_rates`, ...)
+plus the :class:`NvmlSampler` convenience that reads all five per
+device.  Knots itself logs the cluster-wide
+:class:`~repro.telemetry.matrix.MatrixTelemetry` ring, which applies
+the same quantization to the ClusterState sample columns in one
+vectorized step; :class:`NvmlSampler` is the per-object oracle it is
+tested against, bit for bit.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ class NvmlContext:
 
 
 class NvmlSampler:
-    """Knots' per-node sampler: one call returns all five metrics per GPU."""
+    """Per-node NVML sampler: one call returns all five metrics per GPU."""
 
     def __init__(self, gpus: Sequence[GPU]) -> None:
         self._ctx = NvmlContext(gpus)

@@ -1,10 +1,13 @@
-"""Node-local time-series database (InfluxDB stand-in).
+"""Ring-buffer time-series store (InfluxDB stand-in) and its window search.
 
-Each worker runs one :class:`TimeSeriesDB` into which the Knots monitor
-writes one point per metric per heartbeat.  The store is a set of
-fixed-capacity ring buffers (one per series), and the hot query — "the
-last *d* seconds of metric *m*" — is served without materializing the
-ring:
+:class:`TimeSeriesDB` is a standalone per-series store: the CSV
+round trip of :mod:`repro.telemetry.export` and the ``tsdb_window_query``
+benchmark use it.  A simulation's telemetry lives in one
+:class:`~repro.telemetry.matrix.MatrixTelemetry` ring instead, which
+shares this module's window search (:class:`_Ring`).  The store is a
+set of fixed-capacity ring buffers (one per series), and the hot query
+— "the last *d* seconds of metric *m*" — is served without
+materializing the ring:
 
 * timestamps are appended monotonically (enforced by :meth:`write`), so
   window boundaries are found by binary search *inside* the ring — two
@@ -16,12 +19,10 @@ ring:
   then at most the requested window, never the whole ring;
 * every series carries a **version counter** (one tick per append) and
   a one-entry query cache, so repeated queries of an unchanged window
-  — e.g. the five metric windows a scheduler pass reads several times —
   are served without touching the ring at all.
 
 :meth:`query_many` / :meth:`last_windows` resolve a batch of metrics in
-one call, which is how the aggregator's ``query_node_stats`` fetches
-Algorithm 1's five windows per device.
+one call.
 """
 
 from __future__ import annotations
@@ -72,60 +73,36 @@ class SeriesWindow:
 _EMPTY_WINDOW = SeriesWindow(_EMPTY, _EMPTY)
 
 
-class _RingSeries:
-    """Fixed-capacity ring buffer of (time, value) points.
+class _Ring:
+    """Time-ordered ring of timestamps with in-place window search.
 
-    Appends must be time-monotonic (non-decreasing): the windowed-query
-    fast path binary-searches the ring in place, which is only sound on
-    sorted timestamps.
+    The shared base of :class:`_RingSeries` (one value array) and
+    :class:`~repro.telemetry.matrix.MatrixTelemetry` (one column per
+    device and metric): both append rows at ``head`` and hand out
+    windows of a value array aligned with ``times``.  Appends must be
+    time-monotonic (non-decreasing), which is what makes the binary
+    search below sound.
     """
 
-    __slots__ = ("times", "values", "capacity", "head", "count", "version",
-                 "last_t", "_cache_key", "_cache_window")
+    __slots__ = ("times", "capacity", "head", "count", "version", "last_t")
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self.times = np.empty(capacity, dtype=np.float64)
-        self.values = np.empty(capacity, dtype=np.float64)
         self.head = 0   # next write slot
         self.count = 0
-        #: Bumped on every append; keys the one-entry query cache and
-        #: lets downstream caches (ranks, AR(1) stats) detect staleness.
+        #: Bumped on every append; keys query caches and lets
+        #: downstream caches (ranks, AR(1) stats) detect staleness.
         self.version = 0
         self.last_t = -np.inf
-        self._cache_key: tuple[int, float | None, float | None] | None = None
-        self._cache_window: SeriesWindow = _EMPTY_WINDOW
 
-    def append(self, t: float, v: float) -> None:
-        if t < self.last_t:
-            raise ValueError(
-                f"non-monotonic append: t={t!r} is before the series' last "
-                f"timestamp {self.last_t!r}; out-of-order points would corrupt "
-                "binary-searched window queries"
-            )
-        self.times[self.head] = t
-        self.values[self.head] = v
+    def _advance(self, t: float) -> None:
+        """Commit the row just written at ``head`` with timestamp ``t``."""
         self.head = (self.head + 1) % self.capacity
         if self.count < self.capacity:
             self.count += 1
         self.last_t = t
         self.version += 1
-
-    # -- reference path ----------------------------------------------------
-
-    def ordered(self) -> tuple[np.ndarray, np.ndarray]:
-        """Time-ordered copies of the stored points (oldest first).
-
-        The original copy-then-slice query path materialized this on
-        every query; it is kept as the reference implementation for the
-        equivalence property tests and the before/after benchmark.
-        """
-        if self.count < self.capacity:
-            return self.times[: self.count].copy(), self.values[: self.count].copy()
-        idx = np.concatenate([np.arange(self.head, self.capacity), np.arange(0, self.head)])
-        return self.times[idx], self.values[idx]
-
-    # -- in-ring fast path -------------------------------------------------
 
     def _logical_searchsorted(self, t: float, side: str) -> int:
         """``searchsorted`` over the time-ordered view, without building it.
@@ -144,49 +121,87 @@ class _RingSeries:
             return pos
         return len(older) + int(np.searchsorted(self.times[: self.head], t, side=side))
 
-    def _slice(self, lo: int, hi: int) -> SeriesWindow:
-        """Logical index range ``[lo, hi)`` as a window, copying only if
-        the range straddles the ring seam (and then only ``hi - lo``
-        points, never the whole ring)."""
+    def window_bounds(self, since: float | None, until: float | None) -> tuple[int, int]:
+        """Logical row range ``[lo, hi)`` with ``since <= t <= until``."""
+        lo = 0 if since is None else self._logical_searchsorted(since, "left")
+        hi = self.count if until is None else self._logical_searchsorted(until, "right")
+        return lo, hi
+
+    def _slice(self, values: np.ndarray, lo: int, hi: int) -> SeriesWindow:
+        """Logical rows ``[lo, hi)`` of ``values`` (aligned with
+        ``times``) as a window: zero-copy read-only views unless the
+        range straddles the ring seam, and then a copy of only
+        ``hi - lo`` points, never the whole ring."""
         n = hi - lo
         if n <= 0:
             return _EMPTY_WINDOW
         if self.count < self.capacity:
-            return SeriesWindow(
-                _readonly(self.times[lo:hi]), _readonly(self.values[lo:hi])
-            )
+            return SeriesWindow(_readonly(self.times[lo:hi]), _readonly(values[lo:hi]))
         start = self.head + lo
         end = start + n
         if start >= self.capacity:               # entirely in the newer segment
             start -= self.capacity
             end -= self.capacity
-            return SeriesWindow(
-                _readonly(self.times[start:end]), _readonly(self.values[start:end])
+        elif end > self.capacity:                # straddles the seam: bounded copy
+            wrap = end - self.capacity
+            times = np.concatenate([self.times[start:], self.times[:wrap]])
+            vals = np.concatenate([values[start:], values[:wrap]])
+            return SeriesWindow(_readonly(times), _readonly(vals))
+        return SeriesWindow(_readonly(self.times[start:end]), _readonly(values[start:end]))
+
+
+class _RingSeries(_Ring):
+    """Fixed-capacity ring buffer of (time, value) points."""
+
+    __slots__ = ("values", "_cache_key", "_cache_window")
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity)
+        self.values = np.empty(capacity, dtype=np.float64)
+        self._cache_key: tuple[int, float | None, float | None] | None = None
+        self._cache_window: SeriesWindow = _EMPTY_WINDOW
+
+    def append(self, t: float, v: float) -> None:
+        if t < self.last_t:
+            raise ValueError(
+                f"non-monotonic append: t={t!r} is before the series' last "
+                f"timestamp {self.last_t!r}; out-of-order points would corrupt "
+                "binary-searched window queries"
             )
-        if end <= self.capacity:                 # entirely in the older segment
-            return SeriesWindow(
-                _readonly(self.times[start:end]), _readonly(self.values[start:end])
-            )
-        wrap = end - self.capacity               # straddles the seam: bounded copy
-        times = np.concatenate([self.times[start:], self.times[:wrap]])
-        values = np.concatenate([self.values[start:], self.values[:wrap]])
-        return SeriesWindow(_readonly(times), _readonly(values))
+        self.times[self.head] = t
+        self.values[self.head] = v
+        self._advance(t)
+
+    # -- reference path ----------------------------------------------------
+
+    def ordered(self) -> tuple[np.ndarray, np.ndarray]:
+        """Time-ordered copies of the stored points (oldest first).
+
+        The original copy-then-slice query path materialized this on
+        every query; it is kept as the reference implementation for the
+        equivalence property tests and the before/after benchmark.
+        """
+        if self.count < self.capacity:
+            return self.times[: self.count].copy(), self.values[: self.count].copy()
+        idx = np.concatenate([np.arange(self.head, self.capacity), np.arange(0, self.head)])
+        return self.times[idx], self.values[idx]
+
+    # -- in-ring fast path -------------------------------------------------
 
     def window(self, since: float | None, until: float | None) -> SeriesWindow:
         """Points with ``since <= t <= until`` — cached, zero-copy."""
         key = (self.version, since, until)
         if key == self._cache_key:
             return self._cache_window
-        lo = 0 if since is None else self._logical_searchsorted(since, "left")
-        hi = self.count if until is None else self._logical_searchsorted(until, "right")
-        window = self._slice(lo, hi)
+        lo, hi = self.window_bounds(since, until)
+        window = self._slice(self.values, lo, hi)
         self._cache_key = key
         self._cache_window = window
         return window
 
 
 class TimeSeriesDB:
-    """Per-node metric store with windowed queries."""
+    """Metric store, one ring per named series, with windowed queries."""
 
     def __init__(self, capacity: int = 65_536) -> None:
         if capacity <= 0:
@@ -239,8 +254,7 @@ class TimeSeriesDB:
     def query(self, metric: str, since: float | None = None, until: float | None = None) -> SeriesWindow:
         """Return points of ``metric`` with ``since <= t <= until``.
 
-        An unknown metric yields an empty window (matching how a fresh
-        node looks to the aggregator before its first heartbeat).
+        An unknown metric yields an empty window.
         """
         if self.guard is not None:
             self.guard.check("query")
@@ -255,11 +269,7 @@ class TimeSeriesDB:
         since: float | None = None,
         until: float | None = None,
     ) -> dict[str, SeriesWindow]:
-        """One-pass batch of :meth:`query` over several metrics.
-
-        This is the shape ``query_node_stats`` uses: all five metric
-        windows of a device resolved in a single call.
-        """
+        """One-pass batch of :meth:`query` over several metrics."""
         if self.guard is not None:
             self.guard.check("query_many")
         out: dict[str, SeriesWindow] = {}

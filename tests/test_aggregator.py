@@ -1,12 +1,16 @@
-"""Tests for node monitors and the head-node utilization aggregator."""
+"""Tests for Knots' windowed telemetry reads (the paper's node monitors
+and head-node utilization aggregator, Fig. 5), over a :class:`Cluster`."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.cluster.cluster import Cluster
 from repro.cluster.node import GpuNode
-from repro.telemetry.aggregator import NodeMonitor, UtilizationAggregator
+from repro.core.knots import Knots, KnotsConfig
+from repro.obs.context import Observability
+from repro.telemetry.nvml import METRICS
 from repro.workloads.base import ResourceDemand
 
 
@@ -24,92 +28,72 @@ def tick(node: GpuNode, sm: float = 0.3) -> None:
 def monitored_nodes():
     nodes = [GpuNode.build(f"node{i}") for i in (1, 2)]
     nodes[0].gpus[0].attach("p", 4_000)
-    monitors = [NodeMonitor(n) for n in nodes]
-    agg = UtilizationAggregator(monitors)
-    return nodes, monitors, agg
+    knots = Knots(Cluster(nodes), KnotsConfig(heartbeat_ms=1.0, window_ms=5.0))
+    return nodes, knots
 
 
 class TestNodeMonitor:
     def test_heartbeat_logs_all_metrics(self, monitored_nodes):
-        nodes, monitors, _ = monitored_nodes
+        nodes, knots = monitored_nodes
         tick(nodes[0])
-        monitors[0].heartbeat(now=10.0)
-        assert "node1/gpu0.sm_util" in monitors[0].tsdb
-        assert "node1/gpu0.power_w" in monitors[0].tsdb
+        knots.heartbeat(now=10.0)
+        stats = knots.query("node1/gpu0", now=10.0)
+        assert set(stats) == set(METRICS)
+        assert [len(w) for w in stats.values()] == [1] * len(METRICS)
+        assert stats["sm_util"].latest() == pytest.approx(0.3)
+        assert stats["power_w"].latest() > 0
 
     def test_series_window(self, monitored_nodes):
-        nodes, monitors, _ = monitored_nodes
+        nodes, knots = monitored_nodes
         for t in range(20):
             tick(nodes[0])
-            monitors[0].heartbeat(float(t))
-        w = monitors[0].series("node1/gpu0", "sm_util", window=5.0, now=19.0)
+            knots.heartbeat(float(t))
+        w = knots.query("node1/gpu0", now=19.0)["sm_util"]
         assert len(w) == 6
+        np.testing.assert_array_equal(w.times, np.arange(14.0, 20.0))
 
     def test_series_many_matches_individual_series(self, monitored_nodes):
-        nodes, monitors, _ = monitored_nodes
+        nodes, knots = monitored_nodes
         for t in range(20):
             tick(nodes[0])
-            monitors[0].heartbeat(float(t))
-        metrics = ("sm_util", "mem_util", "power_w")
-        batch = monitors[0].series_many("node1/gpu0", metrics, window=5.0, now=19.0)
-        assert set(batch) == set(metrics)
-        for m in metrics:
-            single = monitors[0].series("node1/gpu0", m, window=5.0, now=19.0)
+            knots.heartbeat(float(t))
+        batch = knots.query("node1/gpu0", now=19.0)
+        single = knots.memory_window("node1/gpu0", now=19.0)
+        np.testing.assert_array_equal(batch["mem_util"].times, single.times)
+        np.testing.assert_array_equal(batch["mem_util"].values, single.values)
+        for m in METRICS:
             np.testing.assert_array_equal(batch[m].times, single.times)
-            np.testing.assert_array_equal(batch[m].values, single.values)
 
 
 class TestAggregator:
     def test_requires_monitors(self):
         with pytest.raises(ValueError):
-            UtilizationAggregator([])
+            Knots(Cluster([]))
 
     def test_query_routes_to_node(self, monitored_nodes):
-        nodes, monitors, agg = monitored_nodes
-        tick(nodes[0])
-        for m in monitors:
-            m.heartbeat(1.0)
-        w = agg.query("node1/gpu0", "sm_util", window=10.0, now=1.0)
-        assert w.latest() == pytest.approx(0.3)
+        nodes, knots = monitored_nodes
+        for node in nodes:
+            tick(node)
+        knots.heartbeat(1.0)
+        assert knots.query("node1/gpu0", now=1.0)["sm_util"].latest() == pytest.approx(0.3)
+        assert knots.query("node2/gpu0", now=1.0)["sm_util"].latest() == 0.0
 
     def test_query_unknown_node(self, monitored_nodes):
-        _, _, agg = monitored_nodes
+        _, knots = monitored_nodes
         with pytest.raises(KeyError):
-            agg.query("node9/gpu0", "sm_util", 1.0, 1.0)
+            knots.query("node9/gpu0", 1.0)
+        with pytest.raises(KeyError):
+            knots.memory_window("node9/gpu0", 1.0)
 
-    def test_query_node_stats_covers_five_metrics(self, monitored_nodes):
-        nodes, monitors, agg = monitored_nodes
+    def test_query_node_stats_covers_five_metrics(self):
+        nodes = [GpuNode.build(f"node{i}") for i in (1, 2)]
+        obs = Observability(trace=False, audit=False)
+        knots = Knots(Cluster(nodes), obs=obs)
         tick(nodes[0])
-        monitors[0].heartbeat(1.0)
-        stats = agg.query_node_stats("node1/gpu0", window=10.0, now=1.0)
+        knots.heartbeat(1.0)
+        stats = knots.query("node1/gpu0", now=1.0)
         assert set(stats) == {"sm_util", "mem_util", "power_w", "tx_mbps", "rx_mbps"}
-
-    def test_cluster_utilization_matrix(self, monitored_nodes):
-        nodes, monitors, agg = monitored_nodes
-        for t in range(10):
-            for n in nodes:
-                tick(n)
-            for m in monitors:
-                m.heartbeat(float(t))
-        mat = agg.cluster_utilization(window=20.0, now=9.0)
-        assert mat.shape == (2, 10)
-        assert mat[0].max() > 0          # node1 busy
-        assert np.all(mat[1] == 0.0)     # node2 idle
-
-    def test_cluster_utilization_batch_matches_per_series_queries(self, monitored_nodes):
-        nodes, monitors, agg = monitored_nodes
-        for t in range(12):
-            for n in nodes:
-                tick(n)
-            for m in monitors:
-                m.heartbeat(float(t))
-        mat = agg.cluster_utilization(window=50.0, now=11.0, metric="sm_util")
-
-        rows = []
-        for mon in monitors:
-            for gpu in mon.node.gpus:
-                w = mon.series(gpu.gpu_id, "sm_util", window=50.0, now=11.0)
-                rows.append(w.values)
-        n = min(len(r) for r in rows)
-        expected = np.stack([r[len(r) - n:] for r in rows])
-        np.testing.assert_array_equal(mat, expected)
+        knots.memory_window("node1/gpu0", now=1.0)
+        text = obs.metrics.render()
+        assert 'aggregator_queries_total{metric="mem_util"} 2' in text
+        assert 'aggregator_queries_total{metric="sm_util"} 1' in text

@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.orchestrator as orchestrator_module
 from repro.cluster.cluster import Cluster, make_paper_cluster
 from repro.cluster.node import GpuNode
-from repro.core.knots import Knots, KnotsConfig
+from repro.core.knots import GpuView, Knots, KnotsConfig
 from repro.core.schedulers import SCHEDULERS, make_scheduler
 from repro.obs.context import Observability
 from repro.scenario.gangs import GangScheduler, apply_gang_mix
 from repro.scenario.spec import SCENARIOS
 from repro.sim.simulator import DeviceFault, KubeKnotsSimulator, SimConfig
-from repro.telemetry.aggregator import GpuView
 from repro.workloads.appmix import generate_appmix_workload
 from repro.workloads.base import ResourceDemand
 from tests.test_sim_equivalence import assert_kk_identical
@@ -70,7 +70,9 @@ class TestMonitoring:
         cluster, k = knots
         run_load(cluster, 5, k)
         for node_id in ("node1", "node2"):
-            assert f"{node_id}/gpu0.sm_util" in k.monitors[node_id].tsdb
+            stats = k.query(f"{node_id}/gpu0", now=40.0)
+            assert [len(w) for w in stats.values()] == [5] * 5
+            np.testing.assert_array_equal(stats["sm_util"].times, [0.0, 10.0, 20.0, 30.0, 40.0])
 
     def test_query_returns_five_metric_windows(self, knots):
         cluster, k = knots

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cluster.gpu import GPU
+from repro.cluster.cluster import Cluster
+from repro.cluster.gpu import GPU, GpuSample
+from repro.cluster.node import GPU_MODELS, GpuNode
+from repro.telemetry.matrix import MatrixTelemetry
 from repro.telemetry.nvml import METRICS, NVMLError, NvmlContext, NvmlSampler
 from repro.workloads.base import ResourceDemand
 
@@ -72,3 +77,62 @@ class TestSampler:
         out = NvmlSampler([gpu]).sample()["n/gpu1"]
         assert out["sm_util"] == 0.0
         assert out["mem_util"] == 0.0
+
+
+#: One device sample: (sm_util, share of memory capacity used, power_w,
+#: tx_mbps, rx_mbps).  Memory spans empty, exactly full and arbitrary
+#: fractional-byte usage; power carries sub-milliwatt digits.
+_SAMPLES = st.tuples(
+    st.floats(0.0, 1.0),
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    st.one_of(st.just(123.4567891), st.floats(0.0, 400.0)),
+    st.floats(0.0, 12_000.0),
+    st.floats(0.0, 12_000.0),
+)
+
+
+def _set_sample(gpu: GPU, drawn: tuple) -> None:
+    sm, share, power, tx, rx = drawn
+    gpu.last_sample = GpuSample(
+        sm_util=sm, mem_used_mb=share * gpu.mem_capacity_mb, mem_util=share,
+        power_w=power, tx_mbps=tx, rx_mbps=rx,
+    )
+
+
+def _assert_row_is_sampled(cluster: Cluster, ring: MatrixTelemetry, row: int) -> None:
+    for node in cluster:
+        for gpu_id, metrics in NvmlSampler(node.gpus).sample().items():
+            col = cluster.state.index[gpu_id]
+            for metric in METRICS:
+                got = ring.data[metric][row, col]
+                want = np.float64(metrics[metric])
+                assert got.tobytes() == want.tobytes(), (gpu_id, metric, got, want)
+
+
+class TestMatrixQuantization:
+    """The telemetry ring's vectorized quantization is NVML's, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_SAMPLES, min_size=12, max_size=12),
+        st.integers(0, 11),
+        _SAMPLES,
+    )
+    def test_ring_rows_equal_the_sampler(self, samples, moved, moved_to):
+        # Three devices of every model (three capacities): twelve, so
+        # the second, one-device append takes the sparse requantization
+        # path.
+        cluster = Cluster([
+            GpuNode.build(f"node{i}", gpu_model=model, num_gpus=3)
+            for i, model in enumerate(GPU_MODELS)
+        ])
+        gpus = list(cluster.gpus())
+        for gpu, drawn in zip(gpus, samples):
+            _set_sample(gpu, drawn)
+        ring = MatrixTelemetry(cluster.state, heartbeat_ms=10.0, window_ms=100.0)
+        ring.append_from_state(0.0)
+        _assert_row_is_sampled(cluster, ring, 0)
+
+        _set_sample(gpus[moved], moved_to)
+        ring.append_from_state(10.0)
+        _assert_row_is_sampled(cluster, ring, 1)

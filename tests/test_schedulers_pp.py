@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,15 @@ def build(nodes=3, **kwargs):
 
 
 def feed_memory_series(kk, gpu_id, utils, step_ms=10.0):
-    """Write a mem_util series into the node's TSDB directly."""
-    node_id = gpu_id.split("/")[0]
-    tsdb = kk.knots.monitors[node_id].tsdb
+    """Log a mem_util series for one device: each point is set as the
+    device's sample and recorded by a Knots heartbeat."""
+    gpu = kk.cluster.find_gpu(gpu_id)
+    idle = gpu.idle_sample()
     for i, u in enumerate(utils):
-        tsdb.write(f"{gpu_id}.mem_util", i * step_ms, float(u))
+        gpu.last_sample = replace(
+            idle, mem_used_mb=float(u) * gpu.mem_capacity_mb, mem_util=float(u)
+        )
+        kk.knots.heartbeat(i * step_ms)
     return len(utils) * step_ms
 
 

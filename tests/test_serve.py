@@ -332,6 +332,28 @@ class TestRaceDetectIntegration:
         assert race.violations == [], "\n".join(v.render() for v in race.violations)
         assert report_box[0].counts["dropped"] == 0
 
+    def test_race_detector_guards_the_telemetry_ring(self):
+        # One owner-thread guard covers every Knots telemetry append and
+        # query: a read from any thread but the loop's is a race.
+        cfg = ServeConfig(duration_s=None, paced=True, http=False,
+                          race_detect=True, **SMALL)
+        svc = KnotsService(cfg)
+        knots = svc.orchestrator.knots
+        assert knots.matrix.guard is svc.obs.race.affinity("TSDB")
+        knots.heartbeat(0.0)                # binds the ring to this thread
+        knots.query("node1/gpu0", 0.0)
+        assert svc.obs.race.violations == []
+        reader = threading.Thread(
+            target=lambda: knots.query("node1/gpu0", 0.0), name="scraper"
+        )
+        reader.start()
+        reader.join()
+        (v,) = svc.obs.race.violations
+        assert v.invariant == "owner_thread"
+        assert (v.details["resource"], v.details["operation"], v.details["intruder"]) == (
+            "TSDB", "query", "scraper",
+        )
+
     def test_front_door_lifecycle_survives_repeated_start_stop(self):
         # Regression for the KK005 finding on FrontDoor: _thread/_aio/
         # _server are written by two threads and must stay consistent
