@@ -125,8 +125,8 @@ class ClusterState:
         self.rx_mbps = np.zeros(n)
         self.sample_containers = np.zeros(n, dtype=np.int64)
         #: Devices whose sample mirror changed since the telemetry ring
-        #: last consumed it (consumed and cleared by
-        #: :meth:`~repro.telemetry.matrix.MatrixTelemetry.append_from_state`).
+        #: last consumed it (consumed and cleared by every
+        #: :meth:`~repro.telemetry.matrix.MatrixTelemetry.append_span`).
         self.sample_dirty: set[int] = set()
 
         self.node_epoch = np.zeros(len(nodes), dtype=np.int64)

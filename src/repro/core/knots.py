@@ -16,7 +16,7 @@ Knots is the glue between raw device telemetry and scheduling policy:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,6 +102,13 @@ class Knots:
         vectorized row append to the telemetry ring."""
         self.matrix.append_from_state(now)
         self._m_heartbeats.inc()
+
+    def heartbeat_span(self, times: Sequence[float]) -> None:
+        """One heartbeat at each of ``times`` over an unchanged cluster
+        (an idle span's observable tail): one ring write for all of
+        them, counted as ``len(times)`` heartbeats."""
+        self.matrix.append_span(times)
+        self._m_heartbeats.inc(len(times))
 
     # -- Algorithm 1 primitives ---------------------------------------------
 

@@ -13,8 +13,10 @@ first-class events on the shared :class:`repro.sim.engine.EventLoop`,
 phase-ordered by the priorities in :mod:`repro.sim.harness`.  When the
 cluster is provably quiescent (no unfinished pods, every device asleep
 or failed, no fault plan outstanding) the per-tick chains fast-forward
-to the next arrival, accounting for the skipped span in closed form —
-same-seed outputs stay bit-identical to the reference tick loop
+to the next arrival.  The skipped span costs one write per store: one
+telemetry-ring write for the heartbeats a scheduler could still read,
+and one recorded series row with its tick count — same-seed outputs
+stay bit-identical to the reference tick loop
 (:func:`repro.sim.reference.run_tick_reference`, pinned by
 ``tests/test_sim_equivalence.py``) while idle spans cost events, not
 ticks.
@@ -153,8 +155,113 @@ class SimResult:
         return np.asarray([p.jct_ms() for p in pods])
 
 
+#: Bytes of one recording block of one metric.  Benchmark-scale runs
+#: fit one block, so a run without spans hands out views of it; a
+#: block's untouched rows cost address space only.
+_BLOCK_BYTES = 64 << 20
+
+#: Rows transposed per copy when expanding spans.  A tile reads one
+#: cache line per row for every eight devices, so 128 rows keep the
+#: lines being read in L1 at any cluster width.  On a 2-vCPU Xeon, one
+#: transpose of 13,000 rows of 512 devices took 49 ms and 128-row
+#: tiles took 13 ms.
+_TILE_ROWS = 128
+
+
+class _DeviceSeries:
+    """Every device's per-tick ``sm_util``/``mem_util``, recorded in place.
+
+    Rows are written into ``(block_rows, devices)`` blocks, one pair of
+    blocks per ``block_rows`` recorded rows.  A full block is never
+    copied: the next row opens a new pair.  A fast-forwarded span writes
+    its one (constant) row together with the number of ticks it covers.
+    ``expected_rows`` (the horizon's tick count) caps the block size, so
+    a short run on a small cluster does not hold a whole block.
+    """
+
+    def __init__(self, devices: int, expected_rows: float) -> None:
+        self.devices = devices
+        budget = _BLOCK_BYTES // (8 * max(devices, 1))
+        self.block_rows = max(1, int(min(expected_rows, budget)))
+        self._sm_blocks: list[np.ndarray] = []
+        self._mem_blocks: list[np.ndarray] = []
+        self._at = self.block_rows          # next row of the newest block
+        #: ``(row, ticks)`` of every span row, in row order.
+        self._spans: list[tuple[int, int]] = []
+
+    @property
+    def rows(self) -> int:
+        """Rows recorded so far."""
+        return (len(self._sm_blocks) - 1) * self.block_rows + self._at if self._sm_blocks else 0
+
+    @property
+    def ticks(self) -> int:
+        """Ticks covered by the recorded rows."""
+        return self.rows + sum(ticks - 1 for _, ticks in self._spans)
+
+    def record(self, sm: np.ndarray, mem: np.ndarray) -> None:
+        """One tick's row."""
+        r = self._at
+        if r == self.block_rows:
+            self._sm_blocks.append(np.empty((self.block_rows, self.devices)))
+            self._mem_blocks.append(np.empty((self.block_rows, self.devices)))
+            r = 0
+        self._sm_blocks[-1][r] = sm
+        self._mem_blocks[-1][r] = mem
+        self._at = r + 1
+
+    def record_span(self, sm: np.ndarray, mem: np.ndarray, ticks: int) -> None:
+        """One row that holds for ``ticks`` consecutive ticks."""
+        self._spans.append((self.rows, ticks))
+        self.record(sm, mem)
+
+    def device_major(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both metrics' ``(devices, ticks)`` series.
+
+        Without spans these are views of the recorded rows, concatenated
+        only when the run filled several blocks.  With spans each is
+        built once: block transposes for the live stretches and one
+        broadcast fill per span.
+        """
+        if self._spans:
+            return self._expand(self._sm_blocks), self._expand(self._mem_blocks)
+        return self._rows_view(self._sm_blocks), self._rows_view(self._mem_blocks)
+
+    def _rows_view(self, blocks: list[np.ndarray]) -> np.ndarray:
+        if not blocks:
+            return np.empty((self.devices, 0))
+        filled = [*blocks[:-1], blocks[-1][: self._at]]
+        rows = filled[0] if len(filled) == 1 else np.concatenate(filled)
+        return rows.T
+
+    def _expand(self, blocks: list[np.ndarray]) -> np.ndarray:
+        out = np.empty((self.devices, self.ticks))
+        size = self.block_rows
+        row = col = 0
+        for span_row, ticks in [*self._spans, (self.rows, 0)]:
+            while row < span_row:               # live stretch, tile by tile
+                b, r = divmod(row, size)
+                n = min(span_row - row, size - r, _TILE_ROWS)
+                out[:, col:col + n] = blocks[b][r:r + n].T
+                row += n
+                col += n
+            if ticks:
+                b, r = divmod(row, size)
+                out[:, col:col + ticks] = blocks[b][r][:, None]
+                row += 1
+                col += ticks
+        return out
+
+
 class KubeKnotsSimulator:
-    """Event-driven execution of one (cluster, scheduler, workload) run."""
+    """Event-driven execution of one (cluster, scheduler, workload) run.
+
+    Each live tick records every device's ``sm_util``/``mem_util`` row
+    in place (:class:`_DeviceSeries`); an idle fast-forward records one
+    row for its whole span and logs its observable heartbeats with one
+    :meth:`~repro.core.knots.Knots.heartbeat_span`.
+    :meth:`collect_result` expands the spans once, at the end.
+    """
 
     def __init__(
         self,
@@ -201,14 +308,16 @@ class KubeKnotsSimulator:
             for kubelet in self.orchestrator.kubelets.values():
                 kubelet.prewarm(images)
         self.state = cluster.state
+        arrival_end = self.workload[-1][0] if self.workload else 0.0
+        self._horizon = max(
+            arrival_end * self.config.horizon_factor, self.config.min_horizon_ms
+        )
         #: Telemetry accounting over the ClusterState sample mirrors:
-        #: per-device energy, and one sm/mem row per recorded span with
-        #: the number of ticks it covers.
+        #: per-device energy, the sample times, and the sm/mem series
+        #: (one row per live tick, one per fast-forwarded span).
         self._energy_arr = np.zeros(len(self.state))
-        self._sm_rows: list[np.ndarray] = []
-        self._mem_rows: list[np.ndarray] = []
-        self._row_counts: list[int] = []
         self._times: list[float] = []
+        self._series = _DeviceSeries(len(self.state), self._horizon / self.config.tick_ms + 2)
         #: Run statistics (populated by :meth:`run`).
         self.events_fired = 0
         self.fast_forwards = 0
@@ -237,8 +346,6 @@ class KubeKnotsSimulator:
                 args={"scheduler": self.orchestrator.scheduler.name, "pods": len(self.workload)},
                 ts=0.0,
             )
-        arrival_end = self.workload[-1][0] if self.workload else 0.0
-        self._horizon = max(arrival_end * cfg.horizon_factor, cfg.min_horizon_ms)
         self._makespan = 0.0
         self._next_submit = 0
 
@@ -284,7 +391,9 @@ class KubeKnotsSimulator:
 
     def collect_result(self, makespan_ms: float) -> SimResult:
         """Assemble the :class:`SimResult` from the recorded telemetry
-        (shared with the reference driver)."""
+        (shared with the reference driver).  A run without spans gets
+        its per-device series as views of the recorded rows; a run with
+        spans gets them built once, device-major."""
         quantum = getattr(self.orchestrator, "quantum", None)
         if quantum is not None:
             # Write array-side progress back to the surviving pod
@@ -292,20 +401,7 @@ class KubeKnotsSimulator:
             quantum.flush()
         api = self.orchestrator.api
         gpu_ids = self.state.gpu_ids
-        if self._row_counts:
-            counts = np.asarray(self._row_counts)
-            # Transpose to device-major *before* expanding, so each
-            # per-device series comes out a row view — one bulk op
-            # instead of thousands of strided column extractions on
-            # wide clusters.  Dense runs (every count 1) skip the
-            # expansion entirely.
-            sm = np.vstack(self._sm_rows).T
-            mem = np.vstack(self._mem_rows).T
-            if int(counts.sum()) != len(self._row_counts):
-                sm = np.repeat(sm, counts, axis=1)
-                mem = np.repeat(mem, counts, axis=1)
-        else:
-            sm = mem = np.empty((len(gpu_ids), 0))
+        sm, mem = self._series.device_major()
         return SimResult(
             scheduler=self.orchestrator.scheduler.name,
             pods=api.pods(),
@@ -398,9 +494,12 @@ class KubeKnotsSimulator:
         and arbitration is a fixed point), and no fault/repair event is
         outstanding (a repair would wake hardware mid-span).  Under
         those conditions each skipped tick is a no-op up to constant
-        per-device telemetry, which is accounted in closed form below —
-        bit-identical floats, because energy accumulates by the same
-        repeated addition and the tick grid is produced by the same
+        per-device telemetry, which is accounted below with one write
+        per store: one ring write for the tail's heartbeats
+        (:meth:`~repro.core.knots.Knots.heartbeat_span`) and one series
+        row with the span's tick count.  Floats stay bit-identical,
+        because energy accumulates by the same repeated addition and
+        the sample and heartbeat times come from the same
         ``t + tick_ms`` chain the live path uses.
         """
         api = self.orchestrator.api
@@ -429,6 +528,7 @@ class KubeKnotsSimulator:
         next_hb = self._hb.next_due
         next_sched = self._sched.next_due
         times = self._times
+        tail: list[float] = []
         horizon = self._horizon
         stopped = False
         skipped = 0
@@ -438,7 +538,7 @@ class KubeKnotsSimulator:
             skipped += 1
             if tp >= next_hb:
                 if tp >= tail_from:
-                    self.orchestrator.heartbeat(tp)
+                    tail.append(tp)
                 next_hb = tp + hb_ms
             if tp >= next_sched:
                 # The pass is skipped outright: nothing is pending and no
@@ -455,16 +555,18 @@ class KubeKnotsSimulator:
             tp = t_after
 
         # Per-device telemetry over the span is constant: arbitration of
-        # an empty, parked device is a fixed point of the live path.
-        # Energy stays a *repeated* addition (never ``inc * skipped``) so
-        # floats match the tick loop bit for bit.
+        # an empty, parked device is a fixed point of the live path, so
+        # the tail's heartbeats log one unchanged sample and the span's
+        # series hold one row.  Energy stays a *repeated* addition
+        # (never ``inc * skipped``) so floats match the tick loop bit
+        # for bit.
+        if tail:
+            self.orchestrator.knots.heartbeat_span(tail)
         inc = self._device_power() * ms_to_s(tick)
         for _ in range(skipped):
             self._energy_arr += inc
         if skipped:
-            self._sm_rows.append(state.sm_util.copy())
-            self._mem_rows.append(state.mem_util.copy())
-            self._row_counts.append(skipped)
+            self._series.record_span(state.sm_util, state.mem_util, skipped)
 
         if san is not None:
             # Quiescence as the GPU objects see it, not the columns the
@@ -508,9 +610,7 @@ class KubeKnotsSimulator:
         state = self.state
         power = self._device_power()
         self._energy_arr += power * ms_to_s(dt_ms)
-        self._sm_rows.append(state.sm_util.copy())
-        self._mem_rows.append(state.mem_util.copy())
-        self._row_counts.append(1)
+        self._series.record(state.sm_util, state.mem_util)
         tracer = self.obs.tracer
         n = len(power)
         if tracer.enabled and n:

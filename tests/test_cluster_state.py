@@ -7,13 +7,16 @@ paths read.  These tests pin the contract documented in
 ``free_mem_mb``), flags and samples mirror exactly, epochs bump on
 scheduling-relevant transitions only, and the telemetry ring's sparse
 heartbeat consumes the ``sample_dirty`` set without ever storing a
-value the full requantization would not.
+value the full requantization would not, and a span append leaves the
+ring exactly as one append per time would.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.cluster import make_paper_cluster
 from repro.cluster.gpu import GpuSample
@@ -231,3 +234,129 @@ class TestSparseHeartbeat:
         state.sample_dirty.add(0)
         ring.append_from_state(0.0)
         assert state.sample_dirty == set()
+
+
+# ---------------------------------------------------------------------------
+# Matrix telemetry: a span append vs one append per time
+# ---------------------------------------------------------------------------
+
+#: Ring rows of every ring below (the 256-row floor).
+_CAP = 256
+
+
+def _twin_rings():
+    """Two rings over two identical 12-device clusters."""
+    twins = []
+    for _ in range(2):
+        cluster = make_paper_cluster(num_nodes=3, gpus_per_node=4)
+        ring = MatrixTelemetry(cluster.state, heartbeat_ms=100.0, window_ms=1_000.0)
+        assert ring.capacity == _CAP
+        twins.append((cluster, ring))
+    return twins
+
+
+def _move(twins, rng, devices):
+    """Give ``devices`` random new samples in both clusters."""
+    draws = [
+        dict(sm_util=rng.uniform(0, 1), mem_share=rng.uniform(0, 1),
+             power_w=rng.uniform(25, 250), tx_mbps=rng.uniform(0, 2000),
+             rx_mbps=rng.uniform(0, 2000))
+        for _ in devices
+    ]
+    for cluster, _ in twins:
+        gpus = _gpus(cluster)
+        for i, d in zip(devices, draws):
+            gpu = gpus[i]
+            gpu.last_sample = GpuSample(
+                sm_util=float(d["sm_util"]),
+                mem_used_mb=float(d["mem_share"] * gpu.mem_capacity_mb),
+                mem_util=float(d["mem_share"]),
+                power_w=float(d["power_w"]),
+                tx_mbps=float(d["tx_mbps"]),
+                rx_mbps=float(d["rx_mbps"]),
+            )
+
+
+def _ring_image(ring):
+    """Everything an append can change, over the rows written so far."""
+    rows = ring.count
+    return (
+        ring.times[:rows].tobytes(),
+        {m: ring.data[m][:rows].tobytes() for m in METRICS},
+        ring.head, ring.count, ring.version, ring.last_t,
+    )
+
+
+class TestSpanAppend:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        # empty, partly filled, exactly full and wrapped rings
+        prefill=st.one_of(
+            st.just(0), st.integers(1, _CAP - 1), st.just(_CAP), st.integers(_CAP + 1, 2 * _CAP + 9)
+        ),
+        span=st.one_of(st.integers(1, 4), st.integers(1, 3 * _CAP)),
+        # devices moved just before the span: none, the sparse path, the full path
+        moved=st.sampled_from([0, 1, 12]),
+    )
+    def test_span_equals_one_append_per_time(self, seed, prefill, span, moved):
+        rng = np.random.default_rng(seed)
+        twins = _twin_rings()
+        _move(twins, rng, range(12))
+        t = 0.0
+        for i in range(prefill):
+            if i % 7 == 3:
+                _move(twins, rng, [int(rng.integers(12))])
+            for _, ring in twins:
+                ring.append_from_state(t)
+            t += float(rng.choice([0.0, 100.0, 100.0, 37.5]))
+        _move(twins, rng, rng.permutation(12)[:moved].tolist())
+        if prefill:
+            assert len(twins[0][0].state.sample_dirty) == moved
+        # Non-decreasing times, duplicates included, starting at last_t.
+        steps = rng.choice([0.0, 100.0, 100.0, 0.25], size=span - 1)
+        times = (t + np.concatenate([[0.0], np.cumsum(steps)])).tolist()
+
+        (_, spanned), (loop_cluster, looped) = twins
+        spanned.append_span(times)
+        for now in times:
+            looped.append_from_state(now)
+
+        assert _ring_image(spanned) == _ring_image(looped)
+        assert twins[0][0].state.sample_dirty == set() == loop_cluster.state.sample_dirty
+        until = times[-1]
+        for since in (until - 1_000.0, times[0], until, float(rng.uniform(0.0, until + 1.0))):
+            for col in (0, 5, 11):
+                a = spanned.query(col, METRICS, since, until)
+                b = looped.query(col, METRICS, since, until)
+                for metric in METRICS:
+                    assert a[metric].times.tobytes() == b[metric].times.tobytes()
+                    assert a[metric].values.tobytes() == b[metric].values.tobytes()
+
+    @pytest.mark.parametrize(
+        "times",
+        [[50.0, 60.0], [99.0], [100.0, 90.0], [100.0, 110.0, 105.0, 120.0]],
+        ids=["starts-before-last", "one-row-before-last", "decreasing", "dips"],
+    )
+    def test_bad_span_raises_and_changes_nothing(self, cluster, state, times):
+        ring = MatrixTelemetry(state, heartbeat_ms=100.0, window_ms=1_000.0)
+        _rand_samples(cluster, np.random.default_rng(3))
+        ring.append_from_state(0.0)
+        ring.append_from_state(100.0)
+        _gpus(cluster)[2].last_sample = _gpus(cluster)[2].idle_sample()
+        before = _ring_image(ring)
+        cur = ring._cur_row.copy()
+        with pytest.raises(ValueError, match="non-monotonic"):
+            ring.append_span(times)
+        assert _ring_image(ring) == before
+        assert ring._cur_row.tobytes() == cur.tobytes()
+        assert state.sample_dirty == {2}
+
+    def test_empty_span_changes_nothing(self, cluster, state):
+        ring = MatrixTelemetry(state, heartbeat_ms=100.0, window_ms=1_000.0)
+        ring.append_from_state(0.0)
+        state.sample_dirty.add(1)
+        before = _ring_image(ring)
+        ring.append_span([])
+        assert _ring_image(ring) == before
+        assert state.sample_dirty == {1}

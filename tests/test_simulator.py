@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.cluster import make_paper_cluster
 from repro.core.schedulers import make_scheduler
-from repro.sim.simulator import KubeKnotsSimulator, SimConfig, run_appmix
+from repro.sim.simulator import KubeKnotsSimulator, SimConfig, _DeviceSeries, run_appmix
 from repro.workloads.appmix import generate_appmix_workload
 from repro.workloads.base import QoSClass
 from tests.conftest import make_spec
@@ -120,3 +122,83 @@ def test_multi_gpu_nodes_end_to_end():
     assert len(result.completed()) == len(result.pods)
     used_gpus = {p.gpu_id for p in result.pods}
     assert len(used_gpus) >= 2
+
+
+# ---------------------------------------------------------------------------
+# Series recording: in-place row blocks vs the stacked-and-repeated rows
+# ---------------------------------------------------------------------------
+
+
+def _expand_oracle(rows, counts, devices):
+    """The per-device series as the row-list recorder built them."""
+    if not rows:
+        return np.empty((devices, 0))
+    return np.repeat(np.vstack(rows).T, np.asarray(counts), axis=1)
+
+
+def _check_series(plan, devices, block_rows, seed=0):
+    """Record ``plan`` (one entry per row: ``None`` for a live tick, a
+    tick count for a span) and compare with the oracle, bit for bit."""
+    rng = np.random.default_rng(seed)
+    series = _DeviceSeries(devices, block_rows)
+    assert series.block_rows == block_rows
+    sm_rows, mem_rows, counts = [], [], []
+    for ticks in plan:
+        sm, mem = rng.random(devices), rng.random(devices)
+        if ticks is None:
+            series.record(sm, mem)
+        else:
+            series.record_span(sm, mem, ticks)
+        sm_rows.append(sm.copy())
+        mem_rows.append(mem.copy())
+        counts.append(1 if ticks is None else ticks)
+        # The recorder copied the row; the caller's array moves on.
+        sm[:] = -1.0
+        mem[:] = -1.0
+    got_sm, got_mem = series.device_major()
+    want_sm = _expand_oracle(sm_rows, counts, devices)
+    want_mem = _expand_oracle(mem_rows, counts, devices)
+    assert series.rows == len(plan)
+    assert series.ticks == sum(counts)
+    for got, want in ((got_sm, want_sm), (got_mem, want_mem)):
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    return series, got_sm
+
+
+_PLANS = {
+    "span-first-row": [5, None, None, None, None, None],
+    "span-last-row": [None, None, None, None, None, None, None, 3],
+    "adjacent-spans": [None, 2, 3, 1, None, 4, 7, None],
+    "spans-only": [2, 3, 4, 5, 6, 7, 8],
+    "no-spans": [None] * 11,
+    "live-stretch-crosses-blocks": [None, 4] + [None] * 9 + [2, None, None],
+    "one-tick-span": [None, 1, None],
+    "nothing-recorded": [],
+}
+
+
+class TestDeviceSeries:
+    @pytest.mark.parametrize("plan", list(_PLANS.values()), ids=list(_PLANS))
+    def test_matches_stacked_and_repeated_rows(self, plan):
+        _check_series(plan, devices=5, block_rows=4)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        plan=st.lists(st.one_of(st.none(), st.none(), st.integers(1, 9)), max_size=40),
+        devices=st.integers(1, 6),
+        block_rows=st.integers(1, 7),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_rows_and_spans_match(self, plan, devices, block_rows, seed):
+        _check_series(plan, devices, block_rows, seed)
+
+    def test_a_run_without_spans_gets_views_of_one_block(self):
+        series, sm = _check_series([None] * 3, devices=4, block_rows=8)
+        assert np.shares_memory(sm, series._sm_blocks[0])
+
+    def test_block_size_follows_the_horizon_and_the_byte_budget(self):
+        assert _DeviceSeries(512, 44_002).block_rows == 16_384
+        assert _DeviceSeries(256, 9_002.5).block_rows == 9_002
+        assert _DeviceSeries(8, float("inf")).block_rows == 1 << 20
+        assert _DeviceSeries(0, 10).block_rows == 10
