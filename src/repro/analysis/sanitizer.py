@@ -28,9 +28,11 @@ paper's results silently rely on:
     The DL pool's per-device training/inference counters never go
     negative.
 ``fast_forward_quiescence``
-    The cluster simulator only fast-forwards its tick chains when the
-    cluster is provably quiescent (every submitted pod finished, every
-    device asleep or failed) and only to a strictly later time.
+    In a sanitized run the cluster simulator only fast-forwards its
+    tick chains when the cluster is provably quiescent (every submitted
+    pod finished, every device asleep or failed) and only to a strictly
+    later time.  (Dark and observed runs also skip spans with a device
+    awake; see ``KubeKnots.idle_until``.)
 ``capacity_conservation``
     After a capacity transition (cordon/reclaim/restore): no failed
     device still holds allocations, per-node Σ allocations fits the

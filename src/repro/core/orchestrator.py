@@ -218,6 +218,27 @@ class KubeKnots:
             and np.array_equal(self.cluster.state.node_epoch, idle)
         )
 
+    def idle_until(self) -> float:
+        """The earliest time a kubelet step or a scheduling pass could
+        act if nothing new arrives.
+
+        Mirrors the two branches of :meth:`step_kubelets`.  In a dark or
+        observed run a node steps when its epoch moved or its quiet
+        horizon passed, and a pass that would repeat the last no-op is
+        skipped: ``-inf`` when the next pass would not repeat it or a
+        node epoch moved since that node's last step, else the earliest
+        quiet horizon (an auto-pstate deadline, or ``+inf`` when every
+        device is parked).  A sanitized run steps every node every tick,
+        so it is idle only while every device is asleep or failed:
+        ``+inf`` then, else ``-inf``.
+        """
+        state = self.cluster.state
+        if self.obs.sanitizer is not None:
+            return float(np.inf if np.all(state.asleep | state.failed) else -np.inf)
+        if not self._repeats_noop() or not np.array_equal(state.node_epoch, self._epoch_seen):
+            return float("-inf")
+        return float(self._quiet_until.min(initial=np.inf))
+
     def _note_pass(self, ctx: SchedulingContext, actions: list[Action]) -> None:
         self._noop_epochs = (
             None if ctx.pending or actions else self.cluster.state.node_epoch.copy()

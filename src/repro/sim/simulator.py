@@ -11,15 +11,18 @@ The driver is event-driven: submissions, Knots heartbeats, scheduling
 passes, device faults/repairs and the execution/telemetry quantum are
 first-class events on the shared :class:`repro.sim.engine.EventLoop`,
 phase-ordered by the priorities in :mod:`repro.sim.harness`.  When the
-cluster is provably quiescent (no unfinished pods, every device asleep
-or failed, no fault plan outstanding) the per-tick chains fast-forward
-to the next arrival.  The skipped span costs one write per store: one
+cluster is provably quiescent (no unfinished pods, no fault or capacity
+plan outstanding, and no kubelet step or scheduling pass able to act
+before :meth:`~repro.core.orchestrator.KubeKnots.idle_until`) the
+per-tick chains fast-forward to the earlier of the next arrival and
+that instant.  The skipped span costs one write per store: one
 telemetry-ring write for the heartbeats a scheduler could still read,
 and one recorded series row with its tick count — same-seed outputs
 stay bit-identical to the reference tick loop
 (:func:`repro.sim.reference.run_tick_reference`, pinned by
 ``tests/test_sim_equivalence.py``) while idle spans cost events, not
-ticks.
+ticks.  A device whose recorded rows never change gets its series as a
+zero-stride view of its one value.
 """
 
 from __future__ import annotations
@@ -75,10 +78,13 @@ class SimConfig:
     min_horizon_ms: float = 60_000.0
     prewarm_images: bool = True      # steady state: docker layers cached
     faults: tuple[DeviceFault, ...] = ()   # failure-injection plan
-    #: Jump the tick chains across provably idle spans (no unfinished
-    #: pods, all devices asleep/failed, no fault plan outstanding).
-    #: Output-equivalent to ticking through the span; turn off to force
-    #: every quantum to execute (e.g. when profiling the substrate).
+    #: Jump the tick chains across provably idle spans: no unfinished
+    #: pods, no fault or capacity plan outstanding, and no kubelet step
+    #: or scheduling pass able to act before the span ends
+    #: (``KubeKnots.idle_until``; under the sanitizer, every device
+    #: asleep or failed).  Output-equivalent to ticking through the
+    #: span; turn off to force every quantum to execute (e.g. when
+    #: profiling the substrate).
     fast_forward: bool = True
     #: Cluster-scale overrides: when set, :func:`run_appmix` sizes the
     #: paper cluster from the config instead of its own arguments — the
@@ -98,7 +104,15 @@ class SimConfig:
 
 @dataclass
 class SimResult:
-    """Everything the experiments need from one run."""
+    """Everything the experiments need from one run.
+
+    The per-device series a run returns are read-only.  A device whose
+    samples never changed over a run with idle spans holds a zero-stride
+    view of its one value (``strides == (0,)``); reductions and
+    elementwise ops give the same bits as on a materialized copy, and
+    ``tobytes()`` or a pickle materializes it (an unpickled result holds
+    ordinary writeable arrays).  Copy a series before writing into it.
+    """
 
     scheduler: str
     pods: list[Pod]
@@ -160,7 +174,8 @@ class SimResult:
 #: block's untouched rows cost address space only.
 _BLOCK_BYTES = 64 << 20
 
-#: Rows transposed per copy when expanding spans.  A tile reads one
+#: Rows transposed per copy when expanding spans (and compared per
+#: step when looking for devices that never change).  A tile reads one
 #: cache line per row for every eight devices, so 128 rows keep the
 #: lines being read in L1 at any cluster width.  On a 2-vCPU Xeon, one
 #: transpose of 13,000 rows of 512 devices took 49 ms and 128-row
@@ -215,42 +230,70 @@ class _DeviceSeries:
         self._spans.append((self.rows, ticks))
         self.record(sm, mem)
 
-    def device_major(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both metrics' ``(devices, ticks)`` series.
+    def device_major(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Both metrics' per-device series, one read-only array per device.
 
         Without spans these are views of the recorded rows, concatenated
-        only when the run filled several blocks.  With spans each is
-        built once: block transposes for the live stretches and one
-        broadcast fill per span.
+        only when the run filled several blocks.  With spans, a device
+        whose recorded rows never change gets a zero-stride view of its
+        one value, and the others are built once: block transposes for
+        the live stretches and one broadcast fill per span.
         """
         if self._spans:
             return self._expand(self._sm_blocks), self._expand(self._mem_blocks)
         return self._rows_view(self._sm_blocks), self._rows_view(self._mem_blocks)
 
-    def _rows_view(self, blocks: list[np.ndarray]) -> np.ndarray:
-        if not blocks:
-            return np.empty((self.devices, 0))
-        filled = [*blocks[:-1], blocks[-1][: self._at]]
-        rows = filled[0] if len(filled) == 1 else np.concatenate(filled)
-        return rows.T
+    def _rows_view(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
+        if blocks:
+            filled = [*blocks[:-1], blocks[-1][: self._at]]
+            out = (filled[0] if len(filled) == 1 else np.concatenate(filled)).T
+        else:
+            out = np.empty((self.devices, 0))
+        out.flags.writeable = False
+        return list(out)
 
-    def _expand(self, blocks: list[np.ndarray]) -> np.ndarray:
-        out = np.empty((self.devices, self.ticks))
+    def _varying(self, blocks: list[np.ndarray]) -> np.ndarray:
+        """Devices with a recorded row that differs from the first.
+
+        Rows compare as bit patterns, so a ``-0.0`` after a ``0.0``
+        counts as a change.  The scan goes ``_TILE_ROWS`` rows at a
+        time, so its temporaries stay small at any run length.
+        """
+        first = blocks[0][0].view(np.int64)
+        varying = np.zeros(self.devices, dtype=bool)
+        for b, block in enumerate(blocks):
+            stop = min(self.block_rows, self.rows - b * self.block_rows)
+            for r in range(0, stop, _TILE_ROWS):
+                rows = block[r:min(r + _TILE_ROWS, stop)].view(np.int64)
+                varying |= (rows != first).any(axis=0)
+        return varying
+
+    def _expand(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
+        varying = self._varying(blocks)
+        cols = np.flatnonzero(varying)
+        out = np.empty((len(cols), self.ticks))
         size = self.block_rows
         row = col = 0
         for span_row, ticks in [*self._spans, (self.rows, 0)]:
             while row < span_row:               # live stretch, tile by tile
                 b, r = divmod(row, size)
                 n = min(span_row - row, size - r, _TILE_ROWS)
-                out[:, col:col + n] = blocks[b][r:r + n].T
+                out[:, col:col + n] = blocks[b][r:r + n, cols].T
                 row += n
                 col += n
             if ticks:
                 b, r = divmod(row, size)
-                out[:, col:col + ticks] = blocks[b][r][:, None]
+                out[:, col:col + ticks] = blocks[b][r, cols][:, None]
                 row += 1
                 col += ticks
-        return out
+        out.flags.writeable = False
+        expanded = iter(out)
+        first = blocks[0][0]
+        shape = (self.ticks,)
+        return [
+            next(expanded) if varies else np.broadcast_to(first[d], shape)
+            for d, varies in enumerate(varying)
+        ]
 
 
 class KubeKnotsSimulator:
@@ -393,7 +436,8 @@ class KubeKnotsSimulator:
         """Assemble the :class:`SimResult` from the recorded telemetry
         (shared with the reference driver).  A run without spans gets
         its per-device series as views of the recorded rows; a run with
-        spans gets them built once, device-major."""
+        spans gets them built once, device-major, except that a device
+        whose rows never changed gets a zero-stride view of its value."""
         quantum = getattr(self.orchestrator, "quantum", None)
         if quantum is not None:
             # Write array-side progress back to the surviving pod
@@ -488,34 +532,36 @@ class KubeKnotsSimulator:
     def _maybe_fast_forward(self, now: float, t_next: float) -> None:
         """Jump the tick chains across a provably idle span.
 
-        Guards: every submitted pod has succeeded (so no kubelet has
-        work, no scheduler pass can act), every device is asleep or
-        failed (so the driver's auto-p-state clock has already settled
-        and arbitration is a fixed point), and no fault/repair event is
-        outstanding (a repair would wake hardware mid-span).  Under
-        those conditions each skipped tick is a no-op up to constant
-        per-device telemetry, which is accounted below with one write
-        per store: one ring write for the tail's heartbeats
-        (:meth:`~repro.core.knots.Knots.heartbeat_span`) and one series
-        row with the span's tick count.  Floats stay bit-identical,
-        because energy accumulates by the same repeated addition and
-        the sample and heartbeat times come from the same
-        ``t + tick_ms`` chain the live path uses.
+        Guards: every submitted pod has succeeded, no fault/repair event
+        is outstanding (a repair would wake hardware mid-span) and no
+        capacity transition either.  The span then runs up to the
+        earlier of the next arrival and
+        :meth:`~repro.core.orchestrator.KubeKnots.idle_until`, the first
+        instant a kubelet step could run or a scheduling pass could do
+        something other than repeat its last no-op.  Each skipped tick
+        is therefore a no-op up to constant per-device telemetry (the
+        cluster state columns do not move), which is accounted below
+        with one write per store: one ring write for the tail's
+        heartbeats (:meth:`~repro.core.knots.Knots.heartbeat_span`) and
+        one series row with the span's tick count.  Floats stay
+        bit-identical, because energy accumulates by the same repeated
+        addition and the sample and heartbeat times come from the same
+        ``t + tick_ms`` chain the live path uses.  A span that ends at
+        an auto-pstate deadline resumes on the tick its node steps; the
+        next span, if any, starts from there.
         """
         api = self.orchestrator.api
         if not api.all_done():
             return
-        a_raw = self.workload[self._next_submit][0]
-        if a_raw <= t_next:
-            return                      # next arrival lands on the very next tick
         if self._faults.pending:
             return
         if self._capacity is not None and self._capacity.pending:
             return                      # a capacity transition would wake the span
-        state = self.state
-        if not bool(np.all(state.asleep | state.failed)):
-            return                      # a device is awake: auto-p-state still settling
+        end = min(self.workload[self._next_submit][0], self.orchestrator.idle_until())
+        if end <= t_next:
+            return                      # an arrival, a kubelet or a pass is due next tick
 
+        state = self.state
         cfg = self.config
         tick = cfg.tick_ms
         hb_ms = cfg.knots.heartbeat_ms
@@ -524,7 +570,7 @@ class KubeKnotsSimulator:
         # Every TSDB read is bounded to the last ``window_ms``; only
         # heartbeats inside that window (plus staleness slack) before
         # the resume tick are observable.  Skip the rest.
-        tail_from = a_raw - cfg.knots.window_ms - (slack + 2.0) * hb_ms - 2.0 * tick
+        tail_from = end - cfg.knots.window_ms - (slack + 2.0) * hb_ms - 2.0 * tick
         next_hb = self._hb.next_due
         next_sched = self._sched.next_due
         times = self._times
@@ -533,7 +579,7 @@ class KubeKnotsSimulator:
         stopped = False
         skipped = 0
         tp = t_next
-        while tp < a_raw:
+        while tp < end:
             times.append(tp)
             skipped += 1
             if tp >= next_hb:
@@ -544,8 +590,9 @@ class KubeKnotsSimulator:
                 # The pass is skipped outright: nothing is pending and no
                 # node epoch moves across the span, so by the idle-pass
                 # contract of ``Scheduler.schedule`` the policy's answer
-                # cannot change, and with no residents and every device
-                # parked it is no action.
+                # cannot change.  ``idle_until`` found it a repeat of the
+                # last no-op; under the sanitizer nothing is resident and
+                # every device is parked, so it is no action.
                 next_sched = tp + cfg.schedule_interval_ms
             t_after = tp + tick
             if t_after > horizon:
@@ -554,12 +601,12 @@ class KubeKnotsSimulator:
                 break
             tp = t_after
 
-        # Per-device telemetry over the span is constant: arbitration of
-        # an empty, parked device is a fixed point of the live path, so
-        # the tail's heartbeats log one unchanged sample and the span's
-        # series hold one row.  Energy stays a *repeated* addition
-        # (never ``inc * skipped``) so floats match the tick loop bit
-        # for bit.
+        # Per-device telemetry over the span is constant: no node steps
+        # in it (under the sanitizer every node steps, but arbitration of
+        # an empty, parked device is a fixed point), so the tail's
+        # heartbeats log one unchanged sample and the span's series hold
+        # one row.  Energy stays a *repeated* addition (never
+        # ``inc * skipped``) so floats match the tick loop bit for bit.
         if tail:
             self.orchestrator.knots.heartbeat_span(tail)
         inc = self._device_power() * ms_to_s(tick)

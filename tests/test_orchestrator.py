@@ -1,4 +1,5 @@
-"""Tests for the Kube-Knots orchestrator (action application, pass skipping)."""
+"""Tests for the Kube-Knots orchestrator (action application, pass skipping,
+the quiescence predicate)."""
 
 from __future__ import annotations
 
@@ -260,6 +261,103 @@ class TestIdlePassSkip:
         assert Sleep("node2/gpu0") in actions
         assert _gpu(kk, "node2/gpu0").asleep
         assert not _gpu(kk, "node1/gpu0").asleep
+
+
+# -- the quiescence predicate ---------------------------------------------------
+
+
+def tick(kk, now: float) -> float:
+    """One kubelet step and one pass at ``now``; returns the next tick."""
+    kk.step_kubelets(now, 10.0)
+    kk.scheduling_pass(now)
+    return now + 10.0
+
+
+def settled(obs=None, prewarm=True):
+    """CBP over two idle nodes after three ticks: every node stepped once
+    and the passes repeat a no-op.  Returns the orchestrator and the
+    next tick."""
+    kk = KubeKnots(make_paper_cluster(num_nodes=2), make_scheduler("cbp"), obs=obs)
+    if prewarm:
+        for kubelet in kk.kubelets.values():
+            kubelet.prewarm({"img/toy"})
+    now = 0.0
+    for _ in range(3):
+        now = tick(kk, now)
+    return kk, now
+
+
+class TestIdleUntil:
+    def test_a_settled_cluster_waits_for_its_auto_pstate_deadline(self):
+        kk, _ = settled()
+        # Both devices idle since 0 ms, stepped at 0 ms: the 2 s deadline
+        # less half a tick, as the kubelet computes it.
+        assert kk.idle_until() == kk.kubelets["node1"].quiet_horizon(0.0, 10.0) == 1_995.0
+
+    def test_a_pending_pod_is_not_idle(self):
+        kk, now = settled()
+        kk.api.submit(make_spec(), now)
+        assert kk.idle_until() == float("-inf")
+
+    @pytest.mark.parametrize("phase", [PodPhase.SCHEDULED, PodPhase.RUNNING],
+                             ids=["pulling", "running"])
+    def test_a_hosted_pod_is_not_idle(self, phase):
+        kk, now = settled(prewarm=phase is PodPhase.RUNNING)
+        pod = kk.api.submit(make_spec(duration_ms=60_000.0), now)
+        for _ in range(6):                    # bind, start, then passes settle
+            now = tick(kk, now)
+        assert pod.phase is phase
+        assert kk._repeats_noop()
+        assert kk.idle_until() == float("-inf")
+
+    def test_a_pass_that_acted_is_not_idle(self):
+        kk = KubeKnots(make_paper_cluster(num_nodes=3), make_scheduler("peak-prediction"))
+        assert [type(a) for a in kk.scheduling_pass(0.0)] == [Sleep, Sleep]
+        kk.step_kubelets(0.0, 10.0)
+        assert kk.idle_until() == float("-inf")
+        tick(kk, 10.0)                        # a no-op pass follows
+        assert kk.idle_until() == kk._quiet_until.min() == 1_995.0
+
+    def test_an_epoch_move_no_step_has_seen_is_not_idle(self):
+        kk, now = settled()
+        _gpu(kk, "node1/gpu0").sleep()
+        kk.scheduling_pass(now)               # runs (the epoch moved), a no-op
+        assert kk._repeats_noop()
+        assert kk.idle_until() == float("-inf")
+        kk.step_kubelets(now + 10.0, 10.0)    # node1 steps and sees it
+        assert kk.idle_until() == kk.kubelets["node2"].quiet_horizon(0.0, 10.0)
+
+    def test_the_horizon_passes_and_the_device_parks(self):
+        kk, now = settled()
+        _gpu(kk, "node2/gpu0").fail()
+        now = tick(kk, now)
+        horizon = kk.idle_until()
+        assert horizon == 1_995.0 and kk._quiet_until[1] == float("inf")
+        while now < horizon:
+            now = tick(kk, now)
+        assert not _gpu(kk, "node1/gpu0").asleep
+        while True:
+            kk.step_kubelets(now, 10.0)
+            if _gpu(kk, "node1/gpu0").asleep:
+                break
+            kk.scheduling_pass(now)
+            now += 10.0
+        assert now >= 2_000.0
+        assert kk.idle_until() == float("-inf")   # the sleep moved an epoch
+        kk.scheduling_pass(now)
+        assert kk.idle_until() == float("inf")    # every device parked
+
+    def test_sanitized_runs_are_idle_only_with_every_device_parked(self, sanitized_obs):
+        kk, now = settled(obs=sanitized_obs)
+        assert kk._repeats_noop()
+        assert kk.idle_until() == float("-inf")   # node1/gpu0 is awake
+        kk.fail_gpu("node1/gpu0")
+        _gpu(kk, "node2/gpu0").sleep()
+        # No step or pass has seen either change; sanitized runs step
+        # every node every tick, so only the devices count.
+        assert kk.idle_until() == float("inf")
+        _gpu(kk, "node2/gpu0").asleep = False
+        assert kk.idle_until() == float("-inf")
 
 
 class NeverSkipKubeKnots(KubeKnots):

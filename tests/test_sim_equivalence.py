@@ -24,6 +24,7 @@ from repro.sim.simulator import DeviceFault, KubeKnotsSimulator, SimConfig
 from repro.telemetry.nvml import METRICS
 from repro.workloads.appmix import generate_appmix_workload
 from repro.workloads.dlt import DLWorkloadConfig, generate_dl_workload
+from tests.conftest import make_spec
 
 KK_SCHEDULERS = ["cbp", "peak-prediction", "uniform", "res-ag"]
 DL_POLICIES = ["cbp-pp", "gandiva", "res-ag", "tiresias"]
@@ -61,6 +62,33 @@ def build_sparse(sched, obs=None, **config):
         SimConfig(min_horizon_ms=4_000.0, **config),
         obs=obs,
     )
+
+
+def build_gapped(sched, spacing_ms, **config):
+    """Four 300 ms jobs ``spacing_ms`` apart on two nodes: each job ends
+    long before the next arrives, and its device idles awake until the
+    2 s auto-pstate deadline."""
+    wl = [(i * spacing_ms, make_spec(f"job{i}", duration_ms=300.0)) for i in range(4)]
+    return KubeKnotsSimulator(
+        make_paper_cluster(num_nodes=2), make_scheduler(sched), wl, SimConfig(**config)
+    )
+
+
+def record_spans(sim):
+    """Collect ``(end, awake)`` for each span ``sim`` fast-forwards:
+    the tick it resumes on, and whether a device was awake throughout."""
+    spans = []
+    fast_forward = sim._maybe_fast_forward
+
+    def recorded(now, t_next):
+        taken = sim.fast_forwards
+        awake = not np.all(sim.state.asleep | sim.state.failed)
+        fast_forward(now, t_next)
+        if sim.fast_forwards > taken:
+            spans.append((sim._harness.next_tick, awake))
+
+    sim._maybe_fast_forward = recorded
+    return spans
 
 
 class TestKubeKnotsEquivalence:
@@ -109,6 +137,29 @@ class TestKubeKnotsEquivalence:
         assert a.fast_forwards > 0
         assert a.ticks_skipped > 0
 
+    @pytest.mark.parametrize("spacing_ms", [1_000.0, 6_000.0], ids=["1s", "6s"])
+    @pytest.mark.parametrize("sched", KK_SCHEDULERS)
+    def test_spans_over_awake_gaps_bit_identical(self, sched, spacing_ms):
+        """A span may start while a device idles awake.  At 1 s spacing
+        it runs to the arrival with the device still awake; at 6 s one
+        span ends at the auto-pstate deadline (the node steps, its
+        device sleeps) and a second runs on to the arrival."""
+        a = build_gapped(sched, spacing_ms)
+        spans = record_spans(a)
+        ra = a.run()
+        tag = f"gapped/{sched}/{spacing_ms:g}"
+        assert_kk_identical(ra, build_gapped(sched, spacing_ms, fast_forward=False).run(), tag)
+        assert_kk_identical(ra, run_tick_reference(build_gapped(sched, spacing_ms)), tag)
+        arrivals = {at for at, _ in a.workload}
+        assert any(awake for _, awake in spans), f"{tag}: no span started awake"
+        if spacing_ms < 2_000.0:
+            assert any(end in arrivals and awake for end, awake in spans), tag
+        else:
+            assert any(
+                first[0] not in arrivals and second[0] in arrivals
+                for first, second in zip(spans, spans[1:])
+            ), f"{tag}: no deadline-ended span followed by one to the arrival"
+
     @pytest.mark.parametrize("metrics", [False, True], ids=["dark", "metrics"])
     def test_span_heartbeats_match_one_heartbeat_per_time(self, monkeypatch, metrics):
         """A fast-forward logs its observable tail with one
@@ -149,7 +200,9 @@ class TestKubeKnotsEquivalence:
         """Only the observable tail of a span is logged: at every live
         heartbeat, each device's query window is the one the run would
         hold had it ticked through every span.  A 0.5 s window is shorter
-        than most spans, so most tails start inside their span."""
+        than most spans, so most tails start inside their span.  The
+        tail is measured back from the span's end, which is an
+        auto-pstate deadline for some spans here, not the arrival."""
 
         def windows(ff):
             seen = {}
@@ -171,13 +224,19 @@ class TestKubeKnotsEquivalence:
                 sim = build_sparse(
                     "peak-prediction", fast_forward=ff, knots=KnotsConfig(window_ms=500.0)
                 )
+                spans = record_spans(sim)
                 sim.run()
-            return sim, seen
+            return sim, seen, spans
 
-        a, live = windows(True)
-        _, every = windows(False)
+        a, live, spans = windows(True)
+        _, every, _ = windows(False)
         assert a.fast_forwards > 0 and len(live) < len(every)
         assert {t: every[t] for t in live} == live
+        tick = a.config.tick_ms
+        arrivals = [at for at, _ in a.workload]
+        assert any(
+            not any(end - tick < at <= end for at in arrivals) for end, _ in spans
+        ), "no span ended at a deadline"
 
     def test_fast_forward_off_matches_too(self):
         a = build_sparse("cbp", fast_forward=False)

@@ -136,33 +136,59 @@ def _expand_oracle(rows, counts, devices):
     return np.repeat(np.vstack(rows).T, np.asarray(counts), axis=1)
 
 
-def _check_series(plan, devices, block_rows, seed=0):
-    """Record ``plan`` (one entry per row: ``None`` for a live tick, a
-    tick count for a span) and compare with the oracle, bit for bit."""
-    rng = np.random.default_rng(seed)
+def _record(rows, devices, block_rows):
+    """Record ``rows`` (``(sm, mem, ticks)``, ``ticks`` ``None`` for a
+    live tick) and return the recorder and both metrics' oracles."""
     series = _DeviceSeries(devices, block_rows)
     assert series.block_rows == block_rows
-    sm_rows, mem_rows, counts = [], [], []
-    for ticks in plan:
-        sm, mem = rng.random(devices), rng.random(devices)
+    for sm, mem, ticks in rows:
+        sm, mem = sm.copy(), mem.copy()
         if ticks is None:
             series.record(sm, mem)
         else:
             series.record_span(sm, mem, ticks)
-        sm_rows.append(sm.copy())
-        mem_rows.append(mem.copy())
-        counts.append(1 if ticks is None else ticks)
         # The recorder copied the row; the caller's array moves on.
         sm[:] = -1.0
         mem[:] = -1.0
-    got_sm, got_mem = series.device_major()
-    want_sm = _expand_oracle(sm_rows, counts, devices)
-    want_mem = _expand_oracle(mem_rows, counts, devices)
-    assert series.rows == len(plan)
+    counts = [1 if ticks is None else ticks for *_, ticks in rows]
+    assert series.rows == len(rows)
     assert series.ticks == sum(counts)
-    for got, want in ((got_sm, want_sm), (got_mem, want_mem)):
-        assert got.shape == want.shape
-        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    return series, tuple(
+        _expand_oracle([row[m] for row in rows], counts, devices) for m in (0, 1)
+    )
+
+
+def _assert_per_device(got, want):
+    """One read-only array per device, each the oracle's row bit for bit."""
+    assert len(got) == len(want)
+    for device, expected in zip(got, want):
+        assert device.shape == expected.shape
+        assert not device.flags.writeable
+        assert device.tobytes() == expected.tobytes()
+
+
+def _check_series(plan, devices, block_rows, seed=0, constant=()):
+    """Record ``plan`` (one entry per row: ``None`` for a live tick, a
+    tick count for a span) and compare with the oracle, bit for bit.
+    The devices in ``constant`` hold one value in every row."""
+    rng = np.random.default_rng(seed)
+    fixed = list(constant)
+    held = rng.random((2, devices))
+    rows = []
+    for ticks in plan:
+        sm, mem = rng.random(devices), rng.random(devices)
+        sm[fixed], mem[fixed] = held[0, fixed], held[1, fixed]
+        rows.append((sm, mem, ticks))
+    series, want = _record(rows, devices, block_rows)
+    got_sm, got_mem = series.device_major()
+    _assert_per_device(got_sm, want[0])
+    _assert_per_device(got_mem, want[1])
+    if series._spans:
+        # Exactly the devices whose recorded rows never change are views.
+        bits = np.vstack([sm for sm, _, _ in rows]).view(np.int64)
+        unchanged = (bits == bits[0]).all(axis=0)
+        assert [s.strides == (0,) for s in got_sm] == unchanged.tolist()
+        assert unchanged[fixed].all()
     return series, got_sm
 
 
@@ -189,13 +215,68 @@ class TestDeviceSeries:
         devices=st.integers(1, 6),
         block_rows=st.integers(1, 7),
         seed=st.integers(0, 2**16),
+        data=st.data(),
     )
-    def test_random_rows_and_spans_match(self, plan, devices, block_rows, seed):
-        _check_series(plan, devices, block_rows, seed)
+    def test_random_rows_and_spans_match(self, plan, devices, block_rows, seed, data):
+        constant = data.draw(st.sets(st.integers(0, devices - 1)), label="constant")
+        _check_series(plan, devices, block_rows, seed, constant)
+
+    @pytest.mark.parametrize("plan", ["span-first-row", "adjacent-spans", "spans-only"])
+    def test_a_constant_device_is_a_zero_stride_view(self, plan):
+        series, sm = _check_series(_PLANS[plan], devices=5, block_rows=4, constant={0, 3})
+        assert [s.strides for s in sm] == [(0,), (8,), (8,), (0,), (8,)]
+        assert len(sm[0]) == series.ticks
+        assert not np.shares_memory(sm[0], series._sm_blocks[0])
+
+    def test_a_device_that_changes_only_on_a_span_row_is_expanded(self):
+        ones, twos = np.ones(3), np.ones(3)
+        twos[1] = 2.0
+        rows = [(ones, ones, None), (ones, ones, None), (twos, ones, 4), (ones, ones, None)]
+        series, want = _record(rows, devices=3, block_rows=2)
+        sm, mem = series.device_major()
+        _assert_per_device(sm, want[0])
+        _assert_per_device(mem, want[1])
+        assert [s.strides for s in sm] == [(0,), (8,), (0,)]
+        assert all(s.strides == (0,) for s in mem)
+        assert sm[1].tolist() == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 1.0]
+
+    def test_negative_zero_after_zero_is_a_change(self):
+        zero, neg = np.zeros(2), np.zeros(2)
+        neg[0] = -0.0
+        rows = [(zero, zero, 3), (neg, zero, None), (zero, zero, 2)]
+        series, want = _record(rows, devices=2, block_rows=8)
+        sm, _ = series.device_major()
+        _assert_per_device(sm, want[0])
+        assert sm[0].strides == (8,) and sm[1].strides == (0,)
+        assert np.signbit(sm[0]).tolist() == [False] * 3 + [True] + [False] * 2
+
+    @pytest.mark.parametrize("plan", ["no-spans", "adjacent-spans"])
+    def test_every_series_is_read_only(self, plan):
+        series, _ = _check_series(_PLANS[plan], devices=3, block_rows=4, constant={1})
+        for metric in series.device_major():
+            for device in metric:
+                with pytest.raises(ValueError, match="read-only"):
+                    device[0] = 1.0
+        # The recording blocks stay writeable behind the read-only views.
+        assert series._sm_blocks[0].flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        value=st.floats(allow_nan=False, allow_infinity=False),
+        ticks=st.integers(1, 5_000),
+    )
+    def test_reductions_of_a_view_match_the_materialized_array(self, value, ticks):
+        view = np.broadcast_to(np.float64(value), (ticks,))
+        full = np.full(ticks, value)
+        assert view.strides == (0,)
+        assert view.tobytes() == full.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for reduce in (np.sum, np.mean, np.std, lambda a: np.percentile(a, 75.0)):
+                assert np.float64(reduce(view)).tobytes() == np.float64(reduce(full)).tobytes()
 
     def test_a_run_without_spans_gets_views_of_one_block(self):
         series, sm = _check_series([None] * 3, devices=4, block_rows=8)
-        assert np.shares_memory(sm, series._sm_blocks[0])
+        assert all(np.shares_memory(s, series._sm_blocks[0]) for s in sm)
 
     def test_block_size_follows_the_horizon_and_the_byte_budget(self):
         assert _DeviceSeries(512, 44_002).block_rows == 16_384
