@@ -1,14 +1,11 @@
 """Cluster-scale benchmarks: the scheduling pass from 32x8 to 1024x8.
 
-The legacy pass takes Algorithm 1's sorted device list (one
-``GpuView`` per placeable device, built from the ClusterState columns)
-and sorts every device per pending pod, so its cost grows
-O(devices log devices) per pod even when the workload (and therefore
-the number of devices that can matter) stays fixed.  The vectorized
-pass — the SoA :class:`~repro.cluster.state.ClusterState` columns
-scored through
-:class:`~repro.core.schedulers.vectorized.ArrayPassState` — replaces
-that with a handful of O(devices) ndarray ops.
+A pass that sorted Algorithm 1's device list per pending pod would
+cost O(devices log devices) per pod even when the workload (and
+therefore the number of devices that can matter) stays fixed.  The
+CBP/PP pass scores the SoA :class:`~repro.cluster.state.ClusterState`
+columns through ``ArrayPassState`` instead: a handful of O(devices)
+ndarray ops per pod.
 
 Two benchmarks pin that scaling behaviour:
 

@@ -54,11 +54,9 @@ def _make_sim(num_nodes: int, engine: bool) -> KubeKnotsSimulator:
     construction — the orchestrator then drives the unmodified
     per-node ``Kubelet.step`` loop, which is the comparison baseline.
     """
-    scheduler = make_scheduler("cbp")
-    scheduler.vectorized = True
     sim = KubeKnotsSimulator(
         make_paper_cluster(num_nodes=num_nodes, gpus_per_node=GPUS_PER_NODE),
-        scheduler,
+        make_scheduler("cbp"),
         generate_appmix_workload(
             "app-mix-1", duration_s=4.0, seed=3,
             load_factor=num_nodes * LOAD_PER_NODE,

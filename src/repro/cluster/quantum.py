@@ -36,11 +36,12 @@ Design
   stay bit-identical by construction.  The engine only writes device
   samples and pod progress for the common no-event case.
 
-The engine engages under the same conditions as PR 8's fast pass
-(observability fully off, sanitizer off, ``vectorized=True`` on a
-quantum-safe scheduler) and composes with quiescence skipping: nodes
-with pods step every tick through the vectorized path, idle nodes keep
-their quiet horizons and legacy steps.
+The engine leaves only the per-object ``gpu.last_sample`` stale
+between rare events, and no policy reads it (the ``Scheduler``
+device-state contract), so it engages in every run with observability
+and the sanitizer off, whatever the policy.  It composes with
+quiescence skipping: nodes with pods step every tick through the
+vectorized path, idle nodes keep their quiet horizons and legacy steps.
 
 This module must not import :mod:`repro.kube` (the kube layer imports
 cluster; an import back would cycle) — kubelets and pods arrive

@@ -81,17 +81,12 @@ class KubeKnots:
         #: Vectorized execution quantum: advances all hosting nodes'
         #: pods in one array pass per tick, dropping rare events (OOM,
         #: completion, failure) back through ``Kubelet.step_device``.
-        #: Engages under the same conditions as the PR 8 scheduling
-        #: fast pass — observability fully off and a scheduler whose
-        #: telemetry reads go through the SoA mirror — so a sanitized
-        #: or ``vectorized=False`` run pins the object path everywhere.
+        #: It leaves only ``gpu.last_sample`` stale, which no policy
+        #: reads (the :class:`Scheduler` device-state contract), so it
+        #: engages in every dark run; an observed or sanitized run keeps
+        #: the object tick.
         self.quantum: QuantumEngine | None = None
-        if (
-            self.obs.sanitizer is None
-            and not self.obs.enabled
-            and getattr(scheduler, "quantum_ok", None) is not None
-            and scheduler.quantum_ok()
-        ):
+        if self.obs.sanitizer is None and not self.obs.enabled:
             self.quantum = QuantumEngine(
                 cluster, self._kubelet_list, self._quiet_until, self._epoch_seen
             )

@@ -11,7 +11,7 @@ against a hand-built context.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 from repro.core.knots import Knots
@@ -27,7 +27,6 @@ __all__ = [
     "Action",
     "ResidentPod",
     "SchedulingContext",
-    "PassState",
     "Scheduler",
     "resident_pressure",
 ]
@@ -122,61 +121,18 @@ def resident_pressure(profiles, residents) -> tuple[float, float, list[float], i
     return pressure, peak_pressure, overshoots, lc
 
 
-@dataclass
-class PassState:
-    """Mutable per-pass accounting the CBP/PP placement loop updates.
-
-    Built from Knots' device views at the start of a pass and
-    kept consistent as binds/resizes are planned, so several decisions
-    in one pass don't double-book a device.
-    """
-
-    free: dict[str, float]     # unreserved memory, MB
-    used: dict[str, float]     # physically used memory (telemetry), MB
-    caps: dict[str, float]     # capacity, MB
-    sm: dict[str, float]       # expected SM demand (profile-based pressure)
-    count: dict[str, int]      # resident pod count
-    # Per-device peak overshoots: how far each resident's *peak* memory
-    # exceeds its reservation.  The CBP/PP safety guard keeps room for
-    # the two largest overshoots to fire simultaneously.
-    overshoots: dict[str, list[float]] = field(default_factory=dict)
-    # Worst-case (peak) SM demand per device — what a latency-critical
-    # query could face if every co-runner hits its compute phase.
-    sm_peak: dict[str, float] = field(default_factory=dict)
-    # Latency-critical residents per device (batch placement avoids them).
-    lc_count: dict[str, int] = field(default_factory=dict)
-    # Images bound to each device *during this pass* — the correlation
-    # gate must see them too, or two correlated pods admitted in the
-    # same pass would land together.
-    planned_images: dict[str, list[str]] = field(default_factory=dict)
-
-    @classmethod
-    def from_views(cls, views, residents_on) -> "PassState":
-        return cls(
-            free={v.gpu_id: v.free_alloc_mb for v in views},
-            used={v.gpu_id: v.mem_used_mb for v in views},
-            caps={v.gpu_id: v.mem_capacity_mb for v in views},
-            sm={v.gpu_id: v.sm_util for v in views},
-            count={v.gpu_id: len(residents_on(v.gpu_id)) for v in views},
-        )
-
-    def add_gpu(self, view) -> None:
-        self.free[view.gpu_id] = view.free_alloc_mb
-        self.used[view.gpu_id] = view.mem_used_mb
-        self.caps[view.gpu_id] = view.mem_capacity_mb
-        self.sm[view.gpu_id] = view.sm_util
-        self.count[view.gpu_id] = 0
-
-    def book(self, gpu_id: str, alloc_mb: float, expected_sm: float = 0.0, peak_sm: float = 0.0) -> None:
-        self.free[gpu_id] -= alloc_mb
-        self.used[gpu_id] += alloc_mb
-        self.sm[gpu_id] = self.sm.get(gpu_id, 0.0) + expected_sm
-        self.sm_peak[gpu_id] = self.sm_peak.get(gpu_id, 0.0) + max(peak_sm, expected_sm)
-        self.count[gpu_id] = self.count.get(gpu_id, 0) + 1
-
-
 class Scheduler(ABC):
-    """Base class for all placement policies."""
+    """Base class for all placement policies.
+
+    **Device-state contract.**  A policy reads device state through
+    ``ctx.knots``: the :class:`~repro.cluster.state.ClusterState`
+    columns (``knots.state``, ``knots.all_gpus_by_free_memory()``) and
+    the telemetry ring (``knots.query``, ``knots.memory_window``) —
+    never through the GPU objects.  The vectorized execution quantum
+    (:mod:`repro.cluster.quantum`) keeps those exact but lets
+    ``gpu.last_sample`` go stale between rare events, and it engages in
+    every dark, unsanitized run whatever the policy.
+    """
 
     #: Human-readable name used in reports and experiment tables.
     name: str = "scheduler"
@@ -208,20 +164,6 @@ class Scheduler(ABC):
         consolidation sleeps drained devices by resident count and the
         three flags alone.
         """
-
-    def quantum_ok(self) -> bool:
-        """Whether the vectorized execution quantum may run under this
-        policy (:mod:`repro.cluster.quantum`).
-
-        The fast quantum keeps the SoA sample mirror exact but lets the
-        per-object ``gpu.last_sample`` go stale between rare events, so
-        it is only safe under policies that read telemetry through
-        ``ClusterState`` (the PR 8 fast pass), never from the GPU
-        objects.  Defaults to ``False``; CBP/PP opt in with the same
-        exact-type + ``vectorized`` gate as the scheduling fast pass,
-        and wrappers delegate to their inner policy.
-        """
-        return False
 
     # -- observability hook --------------------------------------------------
 

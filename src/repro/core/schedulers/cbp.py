@@ -28,6 +28,11 @@ Knots data instead of static requests:
 CBP's known weakness (which motivates PP): when the arrival mix is
 dominated by mutually correlated pods there are not enough negatively
 correlated partners, the schedule order skews, and pending pods queue.
+
+Every pass — dark, observed, sanitized or served — runs over
+:class:`ArrayPassState` (``core/schedulers/vectorized.py``), the
+ClusterState columns, and writes the decision audit itself when the
+log is on.
 """
 
 from __future__ import annotations
@@ -37,12 +42,9 @@ import numpy as np
 from repro.core.schedulers.base import (
     Action,
     Bind,
-    PassState,
     Resize,
-    ResidentPod,
     Scheduler,
     SchedulingContext,
-    resident_pressure,
 )
 from repro.core.schedulers.vectorized import ArrayPassState
 from repro.forecast.correlation import spearman_from_ranks
@@ -69,7 +71,6 @@ class CBPScheduler(Scheduler):
         batch_sm_ceiling: float = 1.15,
         lc_sm_ceiling: float = 0.25,
         interference_alpha: float = 0.7,
-        vectorized: bool = True,
     ) -> None:
         self.percentile = percentile
         self.correlation_threshold = correlation_threshold
@@ -94,11 +95,6 @@ class CBPScheduler(Scheduler):
         #: The interference coefficient assumed when inverting the
         #: co-location slowdown model (matches the device default).
         self.interference_alpha = interference_alpha
-        #: Use the array-native pass over :class:`ClusterState` when no
-        #: per-candidate observer is live (see :meth:`_fast_pass_ok`).
-        #: Decisions are bit-identical either way; ``False`` pins the
-        #: dict path (the A/B axis the equivalence tests exercise).
-        self.vectorized = vectorized
         #: Evidence captured by the last :meth:`_admit` call — the
         #: per-resident-image Spearman ρ values the gate evaluated.
         #: Only populated while the decision audit log is enabled.
@@ -118,81 +114,50 @@ class CBPScheduler(Scheduler):
         self._auditing = self.obs.audit.enabled
         self._rho_memo.clear()
 
-    def _fast_pass_ok(self, ctx: SchedulingContext) -> bool:
-        """Whether the array-native pass may replace the dict pass.
+    def _pass_state(self, ctx: SchedulingContext, excluded: np.ndarray) -> ArrayPassState:
+        """The pass's accounting over every device not in ``excluded``.
 
-        Requires observability fully off — the audit trail records one
-        attempt line per *enumerated* candidate, and the fast path
-        deliberately never enumerates the devices it skips — plus a
-        knots runtime that exposes the SoA :class:`ClusterState`.
-        Subclasses that override candidate ordering (the heterogeneity-
-        aware PP) are excluded by the exact-type checks at the call
-        sites.
+        Under the sanitizer the pass also takes Algorithm 1's device
+        list once, for the checks it runs on every placeable device
+        (``mirror_consistency``, ``memory_conservation``).
         """
-        return (
-            self.vectorized
-            and not self._auditing
-            and not self.obs.enabled
-            and self.obs.sanitizer is None
-            and getattr(ctx.knots, "state", None) is not None
-        )
-
-    def quantum_ok(self) -> bool:
-        """The vectorized execution quantum is safe under stock CBP:
-        with observability off it always takes the array-native pass,
-        which reads telemetry through ``ClusterState`` (kept exact by
-        the quantum), never from the GPU objects.
-        Subclasses that override candidate ordering fall back to the
-        dict pass, so the same exact-type gate applies."""
-        return type(self) is CBPScheduler and self.vectorized
+        if self.obs.sanitizer is not None:
+            ctx.knots.all_gpus_by_free_memory()
+        aps = ArrayPassState(ctx.knots.state, ~excluded)
+        aps.load_residents(ctx, ctx.knots)
+        return aps
 
     def schedule(self, ctx: SchedulingContext) -> list[Action]:
-        actions: list[Action] = []
         self._begin_pass()
-        if type(self) is CBPScheduler and self._fast_pass_ok(ctx):
-            cs = ctx.knots.state
-            aps = ArrayPassState(cs, ~(cs.failed | cs.cordoned))
-            aps.load_residents(ctx, ctx.knots)
-            actions.extend(self._harvest_fast(ctx, aps))
-            actions.extend(self._place_fast(ctx, aps))
-            return actions
-        views = ctx.knots.all_gpus_by_free_memory()
-        state = PassState.from_views(views, ctx.residents_on)
-        self._load_pressure(ctx, state)
-        actions.extend(self._harvest(ctx, state))
-        actions.extend(self._place(ctx, state))
+        cs = ctx.knots.state
+        aps = self._pass_state(ctx, cs.failed | cs.cordoned)
+        actions: list[Action] = list(self._harvest(ctx, aps))
+        actions.extend(self._place(ctx, aps))
         return actions
-
-    def _load_pressure(self, ctx: SchedulingContext, state: PassState) -> None:
-        """Replace raw (capped) SM telemetry with profile-based demand
-        (see :func:`resident_pressure`) and collect each device's
-        peak-memory overshoots for the two-peak capacity guard."""
-        profiles = ctx.knots.profiles
-        for gpu_id in state.free:
-            sm, sm_peak, overshoots, lc = resident_pressure(profiles, ctx.residents_on(gpu_id))
-            state.sm[gpu_id] = sm
-            state.sm_peak[gpu_id] = sm_peak
-            state.overshoots[gpu_id] = overshoots
-            state.lc_count[gpu_id] = lc
 
     # -- harvesting ----------------------------------------------------------
 
-    def _harvest(self, ctx: SchedulingContext, state: PassState) -> list[Resize]:
+    def _harvest(self, ctx: SchedulingContext, aps: ArrayPassState) -> list[Resize]:
         """``Docker_Resize(Node_List, Pend_Apps)``: shrink over-provisioned
-        batch residents to their image's 80th-percentile footprint."""
+        batch residents to their image's 80th-percentile footprint and
+        credit the freed reservation to their device."""
         resizes: list[Resize] = []
         if not ctx.pending:
             return resizes       # nothing waiting — leave containers alone
+        index = aps.cs.index
+        included = aps.included
+        profiles = ctx.knots.profiles
         for gpu_id, residents in ctx.residents.items():
-            if gpu_id not in state.free:
-                continue          # device not visible this pass (asleep)
+            i = index.get(gpu_id)
+            if i is None or not included[i]:
+                continue          # device not placeable this pass
             for res in residents:
                 if res.qos_class is QoSClass.LATENCY_CRITICAL:
                     continue
-                target = ctx.knots.profiles.provision_mb(res.image, res.alloc_mb, self.percentile)
+                target = profiles.provision_mb(res.image, res.alloc_mb, self.percentile)
                 if target < res.alloc_mb - self.resize_margin_mb:
                     resizes.append(Resize(res.uid, gpu_id, target))
-                    state.free[gpu_id] += res.alloc_mb - target
+                    aps.free[i] += res.alloc_mb - target
                     if self._auditing:
                         self.obs.audit.record(
                             "resize",
@@ -210,115 +175,12 @@ class CBPScheduler(Scheduler):
                         )
         return resizes
 
-    # -- array-native fast pass (see schedulers/vectorized.py) ---------------
-
-    def _harvest_fast(self, ctx: SchedulingContext, aps: ArrayPassState) -> list[Resize]:
-        """:meth:`_harvest` over the array state: same residents walk,
-        same resize predicate, free credited into the column vector."""
-        resizes: list[Resize] = []
-        if not ctx.pending:
-            return resizes
-        index = aps.cs.index
-        included = aps.included
-        profiles = ctx.knots.profiles
-        for gpu_id, residents in ctx.residents.items():
-            i = index.get(gpu_id)
-            if i is None or not included[i]:
-                continue
-            for res in residents:
-                if res.qos_class is QoSClass.LATENCY_CRITICAL:
-                    continue
-                target = profiles.provision_mb(res.image, res.alloc_mb, self.percentile)
-                if target < res.alloc_mb - self.resize_margin_mb:
-                    resizes.append(Resize(res.uid, gpu_id, target))
-                    aps.free[i] += res.alloc_mb - target
-        return resizes
-
-    def _place_fast(self, ctx: SchedulingContext, aps: ArrayPassState) -> list[Action]:
-        """:meth:`_place` with vectorized fit masks and arg-min candidate
-        picks.  The admission gate stays scalar and is invoked on exactly
-        the devices the dict path's candidate walk would reach — same
-        order, same rho-memo evolution, same binds."""
-        actions: list[Action] = []
-        gpu_ids = aps.cs.gpu_ids
-        for pod in self._ordered_pending(ctx):
-            alloc = self._provision(ctx, pod)
-            expected_sm = self._expected_sm(ctx, pod)
-            peak = self._peak_of(ctx, pod, alloc)
-            is_lc = pod.spec.qos_class is QoSClass.LATENCY_CRITICAL
-            fits = aps.fits_mask(
-                alloc, peak, expected_sm, not is_lc,
-                self.max_pods_per_gpu, self.usage_headroom, self.batch_sm_ceiling,
-            )
-            ceiling = self._lc_ceiling(ctx, pod) if is_lc else 0.0
-            aps.begin_pod()
-            hot = False
-            while True:
-                if is_lc:
-                    i = aps.pick_lc(fits, ceiling, hot)
-                    if i < 0 and not hot:
-                        hot = True
-                        continue
-                else:
-                    i = aps.pick_batch(fits)
-                if i < 0:
-                    break
-                gpu_id = gpu_ids[i]
-                if self._admit(ctx, pod, gpu_id, alloc, aps):
-                    actions.append(Bind(pod.uid, gpu_id, alloc))
-                    aps.book(
-                        i, gpu_id, pod.spec.image, is_lc,
-                        alloc, expected_sm, peak, self._peak_sm_of(pod),
-                    )
-                    break
-                aps.reject(i)
-        return actions
-
     # -- placement -----------------------------------------------------------
 
     def _ordered_pending(self, ctx: SchedulingContext) -> list[Pod]:
         """Latency-critical first (FCFS, SLO-aware), then batch FFD."""
         lc, batch = self.split_by_qos(ctx.pending)
         return lc + self.ffd_order(batch)
-
-    def _candidate_gpus(
-        self, pod: Pod, state: PassState, lc_ceiling: float | None = None
-    ) -> list[str]:
-        """Device visit order for one pod.
-
-        Batch pods bin-pack: fullest device (least free memory) first,
-        which is what harvests fragmentation into co-location instead of
-        leaving slivers stranded on every node.  Latency-critical pods
-        are SLO-aware *and* consolidation-friendly: among the devices
-        whose compute pressure stays under the query's interference
-        budget, pick the busiest (co-locate with batch — the paper's
-        whole point); devices over the budget come last, coolest first.
-        """
-        if pod.spec.qos_class is QoSClass.LATENCY_CRITICAL:
-            ok, hot = self._lc_candidate_split(pod, state, lc_ceiling)
-            return ok + hot
-        # Batch: prefer devices not hosting live inference queries, then
-        # pack tight (least free memory first).
-        return sorted(
-            state.free, key=lambda gid: (state.lc_count.get(gid, 0), state.free[gid], gid)
-        )
-
-    def _lc_candidate_split(
-        self, pod: Pod, state: PassState, lc_ceiling: float | None
-    ) -> tuple[list[str], list[str]]:
-        """(devices under the query's SM budget, busiest first; the rest).
-
-        The budget is checked against each device's *peak* co-runner SM:
-        a query overlapping a co-runner's compute surge is exactly the
-        interference scenario the SLO budget must survive.
-        """
-        ceiling = self.lc_sm_ceiling if lc_ceiling is None else lc_ceiling
-        ok = [g for g in state.free if state.sm_peak.get(g, 0.0) < ceiling]
-        ok_set = set(ok)
-        hot = [g for g in state.free if g not in ok_set]
-        ok.sort(key=lambda gid: (-state.sm_peak.get(gid, 0.0), -state.free[gid], gid))
-        hot.sort(key=lambda gid: (state.sm_peak.get(gid, 0.0), -state.free[gid], gid))
-        return ok, hot
 
     def _lc_ceiling(self, ctx: SchedulingContext, pod: Pod) -> float:
         """SLO-derived co-location budget for a latency-critical query.
@@ -340,60 +202,100 @@ class CBPScheduler(Scheduler):
         ceiling = (allowed_stretch - 1.0) / self.interference_alpha
         return float(np.clip(ceiling, 0.1, 4.0))
 
-    def _place(self, ctx: SchedulingContext, state: PassState) -> list[Action]:
+    def _place(self, ctx: SchedulingContext, aps: ArrayPassState) -> list[Action]:
+        """Bind each pending pod to the first device of its visit order
+        that fits and passes the correlation gate.
+
+        Batch pods bin-pack: devices hosting no live inference query
+        first, then the fullest (least free memory), which harvests
+        fragmentation into co-location instead of leaving slivers
+        stranded on every node.  Latency-critical pods are SLO-aware
+        *and* consolidation-friendly: among the devices whose *peak*
+        co-runner SM stays under the query's interference budget (a
+        query overlapping a co-runner's compute surge is exactly the
+        scenario the budget must survive), the busiest first —
+        co-location with batch is the paper's whole point; devices over
+        the budget come last, coolest first.  A pod no device admits
+        stays pending (CBP's queueing cost for positively correlated
+        arrivals).
+        """
         actions: list[Action] = []
-        auditing = self._auditing
-        queue_depth = len(ctx.pending)
+        gpu_ids = aps.cs.gpu_ids
         for pod in self._ordered_pending(ctx):
             alloc = self._provision(ctx, pod)
             expected_sm = self._expected_sm(ctx, pod)
             peak = self._peak_of(ctx, pod, alloc)
-            attempts: list[dict] | None = [] if auditing else None
-            placed = False
-            for gpu_id in self._candidate_gpus(pod, state, self._lc_ceiling(ctx, pod)):
-                if not self._fits(state, gpu_id, alloc, peak, pod, expected_sm):
-                    if auditing:
-                        attempts.append(self._attempt(state, gpu_id, "no-fit"))
-                    continue
-                if not self._admit(ctx, pod, gpu_id, alloc, state):
-                    if auditing:
-                        attempts.append(self._attempt(state, gpu_id, "correlated"))
-                    continue
-                actions.append(Bind(pod.uid, gpu_id, alloc))
-                if auditing:
-                    attempts.append(self._attempt(state, gpu_id, "bound"))
-                    self._audit_bind(
-                        pod, gpu_id, alloc, queue_depth,
-                        evidence=self._bind_evidence(pod, alloc, peak, expected_sm, attempts),
+            is_lc = pod.spec.qos_class is QoSClass.LATENCY_CRITICAL
+            fits = aps.fits_mask(
+                alloc, peak, expected_sm, not is_lc,
+                self.max_pods_per_gpu, self.usage_headroom, self.batch_sm_ceiling,
+            )
+            trail = self._trail(aps, fits)
+            ceiling = self._lc_ceiling(ctx, pod) if is_lc else 0.0
+            aps.begin_pod()
+            hot = False
+            while True:
+                if is_lc:
+                    i = aps.pick_lc(fits, ceiling, hot)
+                    if i < 0 and not hot:
+                        hot = True
+                        continue
+                else:
+                    i = aps.pick_batch(fits)
+                if i < 0:
+                    if trail is not None:
+                        self._audit_reject(
+                            pod, len(ctx.pending),
+                            evidence={"alloc_mb": alloc, "peak_mb": peak, **trail},
+                        )
+                    break
+                gpu_id = gpu_ids[i]
+                if self._admit(ctx, pod, gpu_id, alloc, aps):
+                    actions.append(Bind(pod.uid, gpu_id, alloc))
+                    if trail is not None:
+                        trail["attempts"].append(self._attempt(aps, i, "bound"))
+                        self._audit_bind(
+                            pod, gpu_id, alloc, len(ctx.pending),
+                            evidence=self._bind_evidence(pod, alloc, peak, expected_sm, trail),
+                        )
+                    aps.book(
+                        i, gpu_id, pod.spec.image, is_lc,
+                        alloc, expected_sm, peak, self._peak_sm_of(pod),
                     )
-                self._book_pod(state, gpu_id, pod, alloc, expected_sm, peak)
-                placed = True
-                break
-            # No admissible device: the pod stays pending (CBP's queueing
-            # cost for positively correlated arrivals).
-            if not placed and auditing:
-                self._audit_reject(
-                    pod, queue_depth,
-                    evidence={"alloc_mb": alloc, "peak_mb": peak, "attempts": attempts},
-                )
+                    break
+                if trail is not None:
+                    trail["attempts"].append(self._attempt(aps, i, "correlated"))
+                aps.reject(i)
         return actions
 
     # -- audit evidence ------------------------------------------------------
 
-    def _attempt(self, state: PassState, gpu_id: str, outcome: str) -> dict:
-        """One candidate-device score line for the audit trail."""
+    def _trail(self, aps: ArrayPassState, fits: np.ndarray) -> dict | None:
+        """A pod's audit trail, or ``None`` while the audit log is off.
+
+        ``attempts`` gets one line per device the pass offers to the
+        admission gate, in visit order, as it offers them; ``no_fit``
+        counts the placeable devices the fit mask ruled out.  Listing
+        those one by one would cost O(devices) per pod.
+        """
+        if not self._auditing:
+            return None
+        return {"attempts": [], "no_fit": aps.n_included() - int(np.count_nonzero(fits))}
+
+    def _attempt(self, aps: ArrayPassState, i: int, outcome: str) -> dict:
+        """One offered-device line of the audit trail."""
         entry = {
-            "gpu_id": gpu_id,
+            "gpu_id": aps.cs.gpu_ids[i],
             "outcome": outcome,
-            "free_mb": round(state.free.get(gpu_id, 0.0), 1),
-            "sm": round(state.sm.get(gpu_id, 0.0), 3),
+            "free_mb": round(float(aps.free[i]), 1),
+            "sm": round(float(aps.sm[i]), 3),
         }
         if outcome == "correlated" and self._last_correlations is not None:
             entry["correlations"] = self._last_correlations
         return entry
 
     def _bind_evidence(
-        self, pod: Pod, alloc: float, peak: float, expected_sm: float, attempts: list[dict]
+        self, pod: Pod, alloc: float, peak: float, expected_sm: float, trail: dict
     ) -> dict:
         """Everything the CBP decision used, audit-ready."""
         return {
@@ -402,24 +304,8 @@ class CBPScheduler(Scheduler):
             "expected_sm": round(expected_sm, 3),
             "percentile": self.percentile,
             "correlations": self._last_correlations,
-            "attempts": attempts,
+            **trail,
         }
-
-    def _book_pod(
-        self,
-        state: PassState,
-        gpu_id: str,
-        pod: Pod,
-        alloc: float,
-        expected_sm: float,
-        peak: float,
-    ) -> None:
-        """Record a planned bind into the pass-local accounting."""
-        state.book(gpu_id, alloc, expected_sm, peak_sm=self._peak_sm_of(pod))
-        state.overshoots.setdefault(gpu_id, []).append(max(peak - alloc, 0.0))
-        state.planned_images.setdefault(gpu_id, []).append(pod.spec.image)
-        if pod.spec.qos_class is QoSClass.LATENCY_CRITICAL:
-            state.lc_count[gpu_id] = state.lc_count.get(gpu_id, 0) + 1
 
     def _peak_sm_of(self, pod: Pod) -> float:
         """Worst-case SM demand of a pod (from its trace)."""
@@ -431,46 +317,6 @@ class CBPScheduler(Scheduler):
         if profile is not None and profile.observations:
             return profile.peak_mem_mb()
         return max(pod.spec.requested_mem_mb, alloc)
-
-    def _fits(
-        self,
-        state: PassState,
-        gpu_id: str,
-        alloc: float,
-        peak: float,
-        pod: Pod,
-        expected_sm: float,
-    ) -> bool:
-        """Reservation fit + two-peak physical safety + SM-saturation fit.
-
-        The physical guard provisions for the common case but insists the
-        device could absorb the *two largest* peak overshoots firing at
-        once: co-located peaks are individually rare (a few percent duty
-        cycle), so simultaneous triple peaks are negligible, while pairs
-        do happen over a long run (Sec. IV-C's failure-probability
-        argument made concrete).
-        """
-        if state.count.get(gpu_id, 0) >= self.max_pods_per_gpu:
-            return False
-        if alloc > state.free[gpu_id]:
-            return False
-        cap = state.caps[gpu_id]
-        allocated_after = cap - (state.free[gpu_id] - alloc)
-        overs = sorted(
-            state.overshoots.get(gpu_id, []) + [max(peak - alloc, 0.0)], reverse=True
-        )
-        worst_two = sum(overs[:2])
-        if allocated_after + worst_two > self.usage_headroom * cap:
-            return False
-        if pod.spec.qos_class is QoSClass.BATCH:
-            # Never drop a batch kernel next to a live inference query:
-            # the query's SLO budget was computed against the co-runner
-            # load at *its* placement time.  Queries are short-lived, so
-            # the batch pod only waits a scheduling pass or two.
-            if state.lc_count.get(gpu_id, 0) > 0:
-                return False
-            return state.sm.get(gpu_id, 0.0) + expected_sm <= self.batch_sm_ceiling
-        return True
 
     def _expected_sm(self, ctx: SchedulingContext, pod: Pod) -> float:
         """The pod's expected compute load, booked into the pass-local SM
@@ -487,7 +333,7 @@ class CBPScheduler(Scheduler):
         )
 
     def _admit(
-        self, ctx: SchedulingContext, pod: Pod, gpu_id: str, alloc: float, state: PassState
+        self, ctx: SchedulingContext, pod: Pod, gpu_id: str, alloc: float, aps: ArrayPassState
     ) -> bool:
         """``Can_Co-locate``: correlation gate against every resident."""
         # Gate on the pod's *peak* footprint, not its (possibly resized)
@@ -505,7 +351,7 @@ class CBPScheduler(Scheduler):
             # against reservation arithmetic.
             return True
         resident_images = [res.image for res in ctx.residents_on(gpu_id)]
-        resident_images += state.planned_images.get(gpu_id, [])
+        resident_images += aps.planned_images.get(gpu_id, [])
         # ρ per resident image, captured for the decision audit trail.
         correlations: dict[str, float] | None = {} if self._auditing else None
         for image in resident_images:

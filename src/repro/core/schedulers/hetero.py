@@ -15,17 +15,23 @@ This scheduler adds capacity-aware placement on top of PP:
   harvested (80th-percentile) reservation would — avoiding guaranteed
   future capacity violations on the small models.
 
-Everything else — harvesting, the correlation gate, ARIMA forecasting,
-consolidation and deep sleep — is inherited unchanged from
+Both ride on PP's array pass as three hooks: a per-pod restriction of
+the fit mask (spill protection, first try only — a latency-critical
+query's relaxed retry keeps PP's unrestricted order), capacity as the
+leading key of the batch pick, and the capacity a sleeping device
+needs before it is woken.  Everything else — harvesting, the
+correlation gate, ARIMA forecasting, consolidation and deep sleep — is
+inherited unchanged from
 :class:`~repro.core.schedulers.peak_prediction.PeakPredictionScheduler`.
 """
 
 from __future__ import annotations
 
-from repro.core.schedulers.base import PassState
+import numpy as np
+
 from repro.core.schedulers.peak_prediction import PeakPredictionScheduler
+from repro.core.schedulers.vectorized import ArrayPassState
 from repro.kube.pod import Pod
-from repro.workloads.base import QoSClass
 
 __all__ = ["HeteroAwarePeakPrediction"]
 
@@ -42,23 +48,15 @@ class HeteroAwarePeakPrediction(PeakPredictionScheduler):
         #: (alone) to be considered at all — the spill-protection rule.
         self.peak_headroom = peak_headroom
 
-    def _wake_pick(self, sleeping: list, pod, alloc: float, peak: float):
-        """Only wake a device whose capacity fits the pod's *peak*."""
-        need = max(alloc, self.peak_headroom * pod.spec.trace.peak_mem_mb())
-        for view in sleeping:
-            if view.mem_capacity_mb >= need:
-                return view
-        return None
+    def _fit_restriction(self, pod: Pod, aps: ArrayPassState) -> np.ndarray:
+        """Spill protection: only devices that could hold the pod's peak."""
+        return aps.caps >= self.peak_headroom * pod.spec.trace.peak_mem_mb()
 
-    def _candidate_gpus(
-        self, pod: Pod, state: PassState, lc_ceiling: float | None = None
-    ) -> list[str]:
-        order = super()._candidate_gpus(pod, state, lc_ceiling)
-        peak = pod.spec.trace.peak_mem_mb()
-        # Spill protection: drop devices that could never hold the peak.
-        order = [g for g in order if state.caps.get(g, 0.0) >= self.peak_headroom * peak]
-        if pod.spec.qos_class is QoSClass.BATCH:
-            # Best-capacity-fit: stable re-sort by capacity, keeping PP's
-            # consolidation order among devices of the same model.
-            order.sort(key=lambda g: state.caps.get(g, 0.0))
-        return order
+    def _pick_batch(self, aps: ArrayPassState, fits: np.ndarray) -> int:
+        """Best-capacity-fit: the smallest capacity first, PP's
+        consolidation order among devices of the same model."""
+        return aps.pick_batch(fits, aps.caps)
+
+    def _wake_need(self, pod: Pod, alloc: float) -> float:
+        """Only wake a device whose capacity fits the pod's *peak*."""
+        return max(alloc, self.peak_headroom * pod.spec.trace.peak_mem_mb())

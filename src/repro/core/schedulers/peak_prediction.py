@@ -22,6 +22,14 @@ first, drained devices are put into deep sleep (p_state 12), and a
 sleeping device is woken only when nothing active can take a pod — or
 when every active device is too compute-loaded to host a
 latency-critical query without stretching it past its SLO.
+
+The pass is CBP's array pass over awake devices plus the wake, relaxed
+retry and consolidation steps, in every mode.  Three hooks
+(:meth:`~PeakPredictionScheduler._fit_restriction`,
+:meth:`~PeakPredictionScheduler._pick_batch`,
+:meth:`~PeakPredictionScheduler._wake_need`) let a subclass narrow the
+devices a pod may take, reorder batch picks and raise the bar for a
+wake; the heterogeneity-aware PP uses all three.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ import numpy as np
 from repro.core.schedulers.base import (
     Action,
     Bind,
-    PassState,
     SchedulingContext,
     Sleep,
     Wake,
@@ -76,124 +83,17 @@ class PeakPredictionScheduler(CBPScheduler):
         #: the per-heartbeat Eq. 3 fit is O(points slid), not O(window).
         self._ar1 = Ar1Cache()
 
-    def _candidate_gpus(
-        self, pod: Pod, state: PassState, lc_ceiling: float | None = None
-    ) -> list[str]:
-        """Like CBP's order, but latency-critical pods only see devices
-        under their SLO-derived SM ceiling: a busier device would
-        stretch the query past its budget through co-location
-        interference.  If that leaves nothing, the empty list sends the
-        pod to the wake/relaxed path in :meth:`schedule`."""
-        if pod.spec.qos_class is QoSClass.LATENCY_CRITICAL:
-            ok, _hot = self._lc_candidate_split(pod, state, lc_ceiling)
-            return ok
-        return super()._candidate_gpus(pod, state)
-
     # -- pass ---------------------------------------------------------------
 
-    def quantum_ok(self) -> bool:
-        """Same contract as CBP's: stock PP with observability off runs
-        the array-native pass over ``ClusterState``, which the
-        vectorized quantum keeps exact."""
-        return type(self) is PeakPredictionScheduler and self.vectorized
-
     def schedule(self, ctx: SchedulingContext) -> list[Action]:
-        actions: list[Action] = []
         self._begin_pass()
-        if type(self) is PeakPredictionScheduler and self._fast_pass_ok(ctx):
-            return self._schedule_fast(ctx)
-        # One snapshot, split into the awake devices Algorithm 1 walks
-        # and the sleeping ones a wake may pick, each in its sorted order.
-        views = ctx.knots.all_gpus_by_free_memory()
-        active = [v for v in views if not v.asleep]
-        sleeping = [v for v in views if v.asleep]
-        state = PassState.from_views(active, ctx.residents_on)
-        self._load_pressure(ctx, state)
-        actions.extend(self._harvest(ctx, state))
-
-        queue_depth = len(ctx.pending)
-        unplaced = 0
-        for pod in self._ordered_pending(ctx):
-            alloc = self._provision(ctx, pod)
-            expected_sm = self._expected_sm(ctx, pod)
-            peak = self._peak_of(ctx, pod, alloc)
-            attempts: list[dict] | None = [] if self._auditing else None
-            placed = self._place_one(
-                ctx, pod, alloc, peak, expected_sm, state, actions, attempts=attempts
-            )
-            if placed:
-                continue
-            view = self._wake_pick(sleeping, pod, alloc, peak)
-            if view is not None:
-                # Nothing active can take the pod safely: wake a device.
-                sleeping.remove(view)
-                actions.append(Wake(view.gpu_id))
-                state.add_gpu(view)
-                state.sm[view.gpu_id] = 0.0
-                state.sm_peak[view.gpu_id] = 0.0
-                state.overshoots[view.gpu_id] = []
-                state.lc_count[view.gpu_id] = 0
-                actions.append(Bind(pod.uid, view.gpu_id, alloc))
-                if self._auditing:
-                    self.obs.audit.record(
-                        "wake", gpu_id=view.gpu_id, queue_depth=queue_depth,
-                        evidence={"reason": "no-active-device-fits", "pod_uid": pod.uid},
-                    )
-                    evidence = self._bind_evidence(pod, alloc, peak, expected_sm, attempts)
-                    evidence["admitted_via"] = "wake"
-                    evidence["forecast"] = self._forecast_peek(
-                        ctx, view.gpu_id, view.mem_capacity_mb, alloc
-                    )
-                    self._audit_bind(pod, view.gpu_id, alloc, queue_depth, evidence)
-                self._book_pod(state, view.gpu_id, pod, alloc, expected_sm, peak)
-            elif pod.spec.qos_class is QoSClass.LATENCY_CRITICAL:
-                # No cool device and nothing to wake: place on the least
-                # loaded device anyway — a stretched query beats an
-                # indefinitely queued one.
-                if not self._place_one(
-                    ctx, pod, alloc, peak, expected_sm, state, actions,
-                    relaxed=True, attempts=attempts,
-                ):
-                    unplaced += 1
-                    if self._auditing:
-                        self._audit_reject(
-                            pod, queue_depth,
-                            evidence={"alloc_mb": alloc, "peak_mb": peak, "attempts": attempts},
-                        )
-            else:
-                unplaced += 1
-                if self._auditing:
-                    self._audit_reject(
-                        pod, queue_depth,
-                        evidence={"alloc_mb": alloc, "peak_mb": peak, "attempts": attempts},
-                    )
-
-        sleeps = self._consolidate(state, unplaced)
-        if self._auditing:
-            for action in sleeps:
-                self.obs.audit.record(
-                    "sleep", gpu_id=action.gpu_id, queue_depth=queue_depth,
-                    evidence={"reason": "drained-device-consolidation"},
-                )
-        actions.extend(sleeps)
-        return actions
-
-    # -- array-native fast pass (see schedulers/vectorized.py) ---------------
-
-    def _schedule_fast(self, ctx: SchedulingContext) -> list[Action]:
-        """The PP pass over :class:`ArrayPassState`: same phase order,
-        same candidate orders, same wake/relaxed/consolidation logic as
-        the dict pass — scalar work only on the devices it actually
-        visits."""
-        actions: list[Action] = []
         cs = ctx.knots.state
-        aps = ArrayPassState(cs, ~(cs.failed | cs.asleep | cs.cordoned))
-        aps.load_residents(ctx, ctx.knots)
-        actions.extend(self._harvest_fast(ctx, aps))
+        aps = self._pass_state(ctx, cs.failed | cs.asleep | cs.cordoned)
+        actions: list[Action] = list(self._harvest(ctx, aps))
 
-        # Sleeping (healthy) devices in the legacy visit order:
-        # (-free, gpu_id).  Asleep devices host nothing, so their free
-        # memory is stable for the whole pass.
+        # Sleeping (healthy) devices in Algorithm 1's order: (-free,
+        # gpu_id).  Asleep devices host nothing, so their free memory is
+        # stable for the whole pass.
         sleep_idx = np.nonzero(cs.asleep & ~cs.failed & ~cs.cordoned)[0]
         if len(sleep_idx) > 1:
             free = cs.mem_capacity_mb[sleep_idx] - cs.alloc_mb[sleep_idx]
@@ -202,33 +102,66 @@ class PeakPredictionScheduler(CBPScheduler):
         sleeping = [int(i) for i in sleep_idx]
 
         gpu_ids = cs.gpu_ids
+        queue_depth = len(ctx.pending)
         unplaced = 0
         for pod in self._ordered_pending(ctx):
             alloc = self._provision(ctx, pod)
             expected_sm = self._expected_sm(ctx, pod)
             peak = self._peak_of(ctx, pod, alloc)
             is_lc = pod.spec.qos_class is QoSClass.LATENCY_CRITICAL
-            if self._place_one_fast(ctx, pod, aps, alloc, peak, expected_sm, actions, is_lc, relaxed=False):
+            fits = aps.fits_mask(
+                alloc, peak, expected_sm, not is_lc,
+                self.max_pods_per_gpu, self.usage_headroom, self.batch_sm_ceiling,
+            )
+            trail = self._trail(aps, fits)
+            if self._place_one(
+                ctx, pod, aps, fits, alloc, peak, expected_sm, actions, relaxed=False, trail=trail
+            ):
                 continue
-            wake_i = next((j for j in sleeping if alloc <= aps.caps[j]), None)
+            need = self._wake_need(pod, alloc)
+            wake_i = next((j for j in sleeping if need <= aps.caps[j]), None)
             if wake_i is not None:
+                # Nothing active can take the pod safely: wake a device.
                 sleeping.remove(wake_i)
                 gpu_id = gpu_ids[wake_i]
                 actions.append(Wake(gpu_id))
                 aps.wake(wake_i)
                 actions.append(Bind(pod.uid, gpu_id, alloc))
+                if trail is not None:
+                    self.obs.audit.record(
+                        "wake", gpu_id=gpu_id, queue_depth=queue_depth,
+                        evidence={"reason": "no-active-device-fits", "pod_uid": pod.uid},
+                    )
+                    evidence = self._bind_evidence(pod, alloc, peak, expected_sm, trail)
+                    evidence["admitted_via"] = "wake"
+                    evidence["forecast"] = self._forecast_peek(
+                        ctx, gpu_id, float(aps.caps[wake_i]), alloc
+                    )
+                    self._audit_bind(pod, gpu_id, alloc, queue_depth, evidence)
                 aps.book(
                     wake_i, gpu_id, pod.spec.image, is_lc,
                     alloc, expected_sm, peak, self._peak_sm_of(pod),
                 )
-            elif is_lc:
-                if not self._place_one_fast(
-                    ctx, pod, aps, alloc, peak, expected_sm, actions, is_lc, relaxed=True
-                ):
-                    unplaced += 1
-            else:
-                unplaced += 1
+                continue
+            # No cool device and nothing to wake: a query goes to the
+            # least loaded device anyway — a stretched query beats an
+            # indefinitely queued one.
+            if is_lc and self._place_one(
+                ctx, pod, aps, fits, alloc, peak, expected_sm, actions, relaxed=True, trail=trail
+            ):
+                continue
+            unplaced += 1
+            if trail is not None:
+                self._audit_reject(
+                    pod, queue_depth,
+                    evidence={"alloc_mb": alloc, "peak_mb": peak, **trail},
+                )
 
+        # Consolidation: sleep drained devices beyond the minimum active
+        # set, unless demand is still unplaced.  Only devices with no
+        # residents and no bind issued this pass are candidates; the
+        # paper keeps low-load mixes on a minimal number of active GPUs
+        # with the rest in minimum-power idle.
         if not unplaced:
             n_active = aps.n_included()
             n_sleeps = 0
@@ -237,128 +170,112 @@ class PeakPredictionScheduler(CBPScheduler):
                     break
                 actions.append(Sleep(gpu_ids[i]))
                 n_sleeps += 1
+                if self._auditing:
+                    self.obs.audit.record(
+                        "sleep", gpu_id=gpu_ids[i], queue_depth=queue_depth,
+                        evidence={"reason": "drained-device-consolidation"},
+                    )
         return actions
 
-    def _place_one_fast(
+    def _place_one(
         self,
         ctx: SchedulingContext,
         pod: Pod,
         aps: ArrayPassState,
+        fits: np.ndarray,
         alloc: float,
         peak: float,
         expected_sm: float,
         actions: list[Action],
-        is_lc: bool,
+        *,
         relaxed: bool,
+        trail: dict | None,
     ) -> bool:
-        """:meth:`_place_one` on the array state.  Non-relaxed LC pods
-        only see devices under their SLO ceiling (PP's candidate
-        override); the relaxed retry falls back to CBP's full order with
-        the default ceiling."""
-        fits = aps.fits_mask(
-            alloc, peak, expected_sm, not is_lc,
-            self.max_pods_per_gpu, self.usage_headroom, self.batch_sm_ceiling,
-        )
+        """Algorithm 1's SCHEDULE procedure: offer the pod to the devices
+        that fit, in its visit order, until the correlation gate or the
+        ARIMA forecast admits it.
+
+        On the first try a latency-critical pod only sees devices under
+        its SLO-derived SM ceiling: a busier device would stretch the
+        query past its budget through co-location interference.  The
+        relaxed retry falls back to CBP's full order with the default
+        ceiling, and skips :meth:`_fit_restriction`.
+        """
+        is_lc = pod.spec.qos_class is QoSClass.LATENCY_CRITICAL
         if is_lc:
             ceiling = self.lc_sm_ceiling if relaxed else self._lc_ceiling(ctx, pod)
-            hot_allowed = relaxed
         else:
             ceiling = 0.0
-            hot_allowed = False
+        if not relaxed:
+            restriction = self._fit_restriction(pod, aps)
+            if restriction is not None:
+                fits = fits & restriction
         aps.begin_pod()
         hot = False
         gpu_ids = aps.cs.gpu_ids
         while True:
             if is_lc:
                 i = aps.pick_lc(fits, ceiling, hot)
-                if i < 0 and hot_allowed and not hot:
+                if i < 0 and relaxed and not hot:
                     hot = True
                     continue
             else:
-                i = aps.pick_batch(fits)
+                i = self._pick_batch(aps, fits)
             if i < 0:
                 return False
             gpu_id = gpu_ids[i]
+            cap = float(aps.caps[i])
+            self._last_forecast = None
             if self._admit(ctx, pod, gpu_id, alloc, aps):
-                ok = True
+                via = "correlation-gate"
+            elif self._forecast_admit(ctx, gpu_id, alloc, cap):
+                via = "forecast"
             else:
-                ok = self._forecast_admit(ctx, gpu_id, alloc, float(aps.caps[i]))
-            if ok:
-                actions.append(Bind(pod.uid, gpu_id, alloc))
-                aps.book(
-                    i, gpu_id, pod.spec.image, is_lc,
-                    alloc, expected_sm, peak, self._peak_sm_of(pod),
+                if trail is not None:
+                    entry = self._attempt(aps, i, "forecast-reject")
+                    if self._last_forecast is not None:
+                        entry["forecast"] = self._last_forecast
+                    trail["attempts"].append(entry)
+                aps.reject(i)
+                continue
+            actions.append(Bind(pod.uid, gpu_id, alloc))
+            if trail is not None:
+                trail["attempts"].append(self._attempt(aps, i, "bound"))
+                evidence = self._bind_evidence(pod, alloc, peak, expected_sm, trail)
+                evidence["admitted_via"] = via
+                if relaxed:
+                    evidence["relaxed"] = True
+                # Every PP placement records the forecast it saw — the
+                # ARIMA one that admitted it, or a peek at what the
+                # forecaster would have said for the device.
+                evidence["forecast"] = (
+                    self._last_forecast
+                    if self._last_forecast is not None
+                    else self._forecast_peek(ctx, gpu_id, cap, alloc)
                 )
-                return True
-            aps.reject(i)
+                self._audit_bind(pod, gpu_id, alloc, len(ctx.pending), evidence)
+            aps.book(
+                i, gpu_id, pod.spec.image, is_lc,
+                alloc, expected_sm, peak, self._peak_sm_of(pod),
+            )
+            return True
 
-    def _wake_pick(self, sleeping: list, pod: Pod, alloc: float, peak: float):
-        """First sleeping device adequate for the pod, or None.
+    # -- hooks for subclasses ------------------------------------------------
 
-        Adequacy here is reservation fit; the heterogeneity-aware
-        subclass tightens this to peak fit so a harvested reservation
-        never lures a large pod onto a small device.
-        """
-        for view in sleeping:
-            if alloc <= view.mem_capacity_mb:
-                return view
+    def _fit_restriction(self, pod: Pod, aps: ArrayPassState) -> np.ndarray | None:
+        """Devices the pod may take on its first try, ANDed onto the fit
+        mask; ``None`` leaves the mask as it is."""
         return None
 
-    def _place_one(
-        self,
-        ctx: SchedulingContext,
-        pod: Pod,
-        alloc: float,
-        peak: float,
-        expected_sm: float,
-        state: PassState,
-        actions: list[Action],
-        relaxed: bool = False,
-        attempts: list[dict] | None = None,
-    ) -> bool:
-        """Algorithm 1's SCHEDULE procedure over the sorted node list."""
-        auditing = self._auditing and attempts is not None
-        if relaxed:
-            candidates = CBPScheduler._candidate_gpus(self, pod, state)
-        else:
-            candidates = self._candidate_gpus(pod, state, self._lc_ceiling(ctx, pod))
-        for gpu_id in candidates:
-            if not self._fits(state, gpu_id, alloc, peak, pod, expected_sm):
-                if auditing:
-                    attempts.append(self._attempt(state, gpu_id, "no-fit"))
-                continue
-            self._last_forecast = None
-            if self._admit(ctx, pod, gpu_id, alloc, state):
-                ok = True
-                via = "correlation-gate"
-            else:
-                ok = self._forecast_admit(ctx, gpu_id, alloc, state.caps[gpu_id])
-                via = "forecast"
-            if ok:
-                actions.append(Bind(pod.uid, gpu_id, alloc))
-                if auditing:
-                    attempts.append(self._attempt(state, gpu_id, "bound"))
-                    evidence = self._bind_evidence(pod, alloc, peak, expected_sm, attempts)
-                    evidence["admitted_via"] = via
-                    if relaxed:
-                        evidence["relaxed"] = True
-                    # Every PP placement records the forecast it saw —
-                    # the ARIMA one that admitted it, or a peek at what
-                    # the forecaster would have said for the device.
-                    evidence["forecast"] = (
-                        self._last_forecast
-                        if self._last_forecast is not None
-                        else self._forecast_peek(ctx, gpu_id, state.caps[gpu_id], alloc)
-                    )
-                    self._audit_bind(pod, gpu_id, alloc, len(ctx.pending), evidence)
-                self._book_pod(state, gpu_id, pod, alloc, expected_sm, peak)
-                return True
-            if auditing:
-                entry = self._attempt(state, gpu_id, "forecast-reject")
-                if self._last_forecast is not None:
-                    entry["forecast"] = self._last_forecast
-                attempts.append(entry)
-        return False
+    def _pick_batch(self, aps: ArrayPassState, fits: np.ndarray) -> int:
+        """The next device a batch pod is offered to: PP's consolidation
+        order, fewest live queries, then fullest."""
+        return aps.pick_batch(fits)
+
+    def _wake_need(self, pod: Pod, alloc: float) -> float:
+        """Capacity a sleeping device needs to be woken for the pod: its
+        reservation."""
+        return alloc
 
     def _forecast_util(self, gpu_id: str, window) -> float:
         """Eq. 3 forecast of a device's memory utilization, clipped to [0, 1].
@@ -425,26 +342,6 @@ class PeakPredictionScheduler(CBPScheduler):
             "safety": self.forecast_safety,
             "window_points": int(len(values)),
         }
-
-    # -- consolidation / power management ------------------------------------
-
-    def _consolidate(self, state: PassState, unplaced: int) -> list[Action]:
-        """Sleep drained devices beyond the minimum active set.
-
-        Only devices with no residents and no bind issued this pass are
-        candidates; the paper keeps low-load mixes on a minimal number
-        of active GPUs with the rest in minimum-power idle.
-        """
-        if unplaced:
-            return []            # demand still unplaced — keep capacity up
-        empty = sorted(gid for gid, c in state.count.items() if c == 0)
-        n_active = len(state.count)
-        sleeps: list[Action] = []
-        for gid in empty:
-            if n_active - len(sleeps) <= self.min_active_gpus:
-                break
-            sleeps.append(Sleep(gid))
-        return sleeps
 
     # -- introspection --------------------------------------------------------
 

@@ -1,37 +1,26 @@
-"""Array-native scheduling pass state (the 1024-node fast path).
+"""The CBP/PP scheduling pass state, as columns over ClusterState.
 
-The legacy pass takes Algorithm 1's sorted device list (one
-:class:`~repro.core.knots.GpuView` per placeable device, read
-from the ClusterState columns), fills five ``PassState`` dicts keyed by
-gpu_id from it, and runs a full Python ``sorted`` of every device per
-pending pod.  At 32x8 that is noise; at 1024x8 the pass spends
-milliseconds on dict entries and sorts of devices it will never touch.
-
-:class:`ArrayPassState` keeps the same accounting as column vectors
-over the :class:`~repro.cluster.state.ClusterState` index, so
+:class:`ArrayPassState` holds one pass's accounting — unreserved
+memory, resident count, expected and peak SM demand, latency-critical
+count and the top-2 peak overshoots of every device — as column
+vectors over the :class:`~repro.cluster.state.ClusterState` index, so
 
 * pass setup is four O(n) vector ops plus a sparse walk of the
   *occupied* devices (``ctx.residents``), and
 * candidate selection per pod is a vectorized fit mask plus a
-  lexicographic arg-min — O(n) flat instead of O(n log n) sort.
+  lexicographic arg-min — O(n) flat, where sorting Algorithm 1's device
+  list per pod would be O(n log n).
 
-Decision equivalence with the dict path is exact, not approximate:
+The arg-min picks the device a full sort of the list by the same key
+would visit first: tie-breaks on gpu_id use ``ClusterState.id_rank``
+(the precomputed lexicographic rank of the id strings).  So the pass
+offers a pod to the admission gate on exactly the devices, and in the
+order, of Algorithm 1's walk, skipping those that fail the fit mask.
 
-* the fit mask evaluates the same float predicates elementwise
-  (``cap - (free - alloc)``, the two-peak guard, the SM ceilings);
-* the two-peak guard tracks the top-2 overshoots ``o1 >= o2`` per
-  device; ``max(o1, c) + min(max(c, o2), o1)`` equals the legacy
-  ``sum(sorted(overshoots + [c], reverse=True)[:2])`` for every case of
-  the candidate overshoot ``c`` (c >= o1, o2 <= c < o1, c < o2);
-* tie-breaks on gpu_id use ``ClusterState.id_rank`` (the precomputed
-  lexicographic rank of the id strings), so arg-min picks exactly the
-  device the legacy full sort would visit first.
-
-The fast path only runs with observability fully off (no audit, no
-metrics, no sanitizer): the audit trail records per-candidate attempt
-lines whose enumeration the arg-min deliberately skips.  The dict path
-remains the single source of truth for audited/sanitized passes and
-for scheduler subclasses that override candidate ordering.
+This is the only CBP/PP pass: dark, observed, sanitized and served
+runs all take it, and the decision audit lists the devices it offers.
+``tests/dict_pass.py`` keeps the per-device dict pass it replaced as
+the test oracle.
 """
 
 from __future__ import annotations
@@ -85,11 +74,10 @@ class ArrayPassState:
     # -- setup ---------------------------------------------------------------
 
     def load_residents(self, ctx: SchedulingContext, knots) -> None:
-        """Sparse equivalent of ``_load_pressure`` + the view counts (both
-        go through :func:`resident_pressure`).
-
-        Devices without residents keep the zero defaults — exactly what
-        the dict path computes for them (empty loop, ``pressure = 0``).
+        """Replace raw (capped) SM telemetry with profile-based demand
+        (see :func:`resident_pressure`) and collect each device's
+        resident count, latency-critical count and peak-memory
+        overshoots.  Devices without residents keep the zero defaults.
         """
         index = self.cs.index
         included = self.included
@@ -113,7 +101,7 @@ class ArrayPassState:
         elif c > self.o2[i]:
             self.o2[i] = c
 
-    # -- the fit mask (vectorized ``_fits``) ----------------------------------
+    # -- the fit mask --------------------------------------------------------
 
     def fits_mask(
         self,
@@ -125,7 +113,24 @@ class ArrayPassState:
         usage_headroom: float,
         batch_sm_ceiling: float,
     ) -> np.ndarray:
-        """Devices passing every ``_fits`` predicate, elementwise."""
+        """Devices that can take the pod, elementwise: reservation fit,
+        two-peak physical safety and, for batch pods, SM-saturation fit.
+
+        The physical guard provisions for the common case but insists
+        the device could absorb the *two largest* peak overshoots firing
+        at once: co-located peaks are individually rare (a few percent
+        duty cycle), so simultaneous triple peaks are negligible, while
+        pairs do happen over a long run (Sec. IV-C's failure-probability
+        argument made concrete).  With the top-2 overshoots ``o1 >= o2``
+        of a device and the pod's own ``c``,
+        ``max(o1, c) + min(max(c, o2), o1)`` is the sum of the two
+        largest of the three.
+
+        A batch pod never lands next to a live inference query: the
+        query's SLO budget was computed against the co-runner load at
+        *its* placement time, and queries are short-lived, so the batch
+        pod only waits a pass or two.
+        """
         free = self.free
         m = self.included & (self.count < max_pods_per_gpu) & (alloc <= free)
         c = max(peak - alloc, 0.0)
@@ -138,12 +143,12 @@ class ArrayPassState:
 
     # -- candidate selection (lexicographic arg-min over a mask) --------------
 
-    def _argbest(self, m: np.ndarray, key1: np.ndarray, key2: np.ndarray) -> int:
-        """Index minimizing ``(key1, key2, id_rank)`` over mask ``m``; -1 if empty."""
+    def _argbest(self, m: np.ndarray, *keys: np.ndarray) -> int:
+        """Index minimizing ``(*keys, id_rank)`` over mask ``m``; -1 if empty."""
         if not m.any():
             return -1
-        m = m & (key1 == key1[m].min())
-        m &= key2 == key2[m].min()
+        for key in keys:
+            m = m & (key == key[m].min())
         idx = np.nonzero(m)[0]
         if len(idx) == 1:
             return int(idx[0])
@@ -155,10 +160,10 @@ class ArrayPassState:
     def reject(self, i: int) -> None:
         self._tried[i] = True
 
-    def pick_batch(self, fits: np.ndarray) -> int:
-        """First device of the batch order ``(lc_count, free, gpu_id)``
-        that fits and was not rejected for this pod yet."""
-        return self._argbest(fits & ~self._tried, self.lc_count, self.free)
+    def pick_batch(self, fits: np.ndarray, *lead: np.ndarray) -> int:
+        """First device of the batch order ``(*lead, lc_count, free,
+        gpu_id)`` that fits and was not rejected for this pod yet."""
+        return self._argbest(fits & ~self._tried, *lead, self.lc_count, self.free)
 
     def pick_lc(self, fits: np.ndarray, ceiling: float, hot: bool) -> int:
         """First device of the LC order that fits: devices under the SM
@@ -170,7 +175,7 @@ class ArrayPassState:
             return self._argbest(m & ~under, self.sm_peak, -self.free)
         return self._argbest(m & under, -self.sm_peak, -self.free)
 
-    # -- booking (``PassState.book`` + ``_book_pod`` bookkeeping) -------------
+    # -- booking -------------------------------------------------------------
 
     def book(
         self,
@@ -195,8 +200,8 @@ class ArrayPassState:
     # -- PP hooks --------------------------------------------------------------
 
     def wake(self, i: int) -> None:
-        """Bring a sleeping device into the pass (``PassState.add_gpu``
-        plus the zeroed pressure entries PP writes after a wake)."""
+        """Bring a sleeping device into the pass: it hosts nothing, so
+        its pressure entries are zero."""
         self.included[i] = True
         self.free[i] = self.caps[i] - self.cs.alloc_mb[i]
         self.count[i] = 0

@@ -87,13 +87,6 @@ class GangScheduler(Scheduler):
         super().bind_observability(obs)
         self.inner.bind_observability(obs)
 
-    def quantum_ok(self) -> bool:
-        """Gang placement reads only allocation-derived view fields
-        (free memory, container count, node id), which the quantum
-        never leaves stale, so the vectorized quantum is safe exactly
-        when the inner policy's own telemetry reads are."""
-        return self.inner.quantum_ok()
-
     # -- the pass ------------------------------------------------------------
 
     def schedule(self, ctx: SchedulingContext) -> list[Action]:

@@ -204,6 +204,34 @@ class TestAuditCompleteness:
             assert rec.gpu_id is None
             assert isinstance(rec.evidence["attempts"], list)
 
+    @pytest.mark.parametrize("make", [CBPScheduler, PeakPredictionScheduler])
+    def test_attempts_list_only_devices_offered_to_the_gate(self, make):
+        obs = Observability(trace=False)
+        _run(make(), obs, duration_s=4.0)
+        verdicts = obs.audit.binds() + obs.audit.rejections()
+        assert verdicts
+        for rec in verdicts:
+            outcomes = {a["outcome"] for a in rec.evidence["attempts"]}
+            assert outcomes <= {"correlated", "forecast-reject", "bound"}, rec
+            for a in rec.evidence["attempts"]:
+                assert type(a["free_mb"]) is float and type(a["sm"]) is float
+            assert isinstance(rec.evidence["no_fit"], int), rec
+            assert rec.evidence["no_fit"] >= 0
+
+    @pytest.mark.parametrize("make", [CBPScheduler, PeakPredictionScheduler])
+    def test_pod_that_fits_nowhere_counts_every_placeable_device(self, make):
+        obs = Observability(trace=False)
+        kk = KubeKnots(make_paper_cluster(num_nodes=4), make(), obs=obs)
+        kk.fail_gpu("node2/gpu0")           # not placeable: not counted
+        pod = kk.api.submit(
+            make_spec("huge", requested_mem_mb=20_000.0, mem_mb=19_000.0), 0.0
+        )
+        assert kk.scheduling_pass(0.0) == []
+        (reject,) = obs.audit.rejections()
+        assert reject.pod_uid == pod.uid
+        assert reject.evidence["attempts"] == []
+        assert reject.evidence["no_fit"] == 3
+
     def test_disabled_obs_records_nothing(self):
         obs = Observability.disabled()
         _run(CBPScheduler(), obs)

@@ -238,10 +238,8 @@ class TestIdlePassSkip:
         kk.scheduling_pass(now)
         assert spy.calls == calls + 1
 
-    @pytest.mark.parametrize("vectorized", [True, False], ids=["array", "dict"])
-    def test_pp_sleeps_a_device_that_empties_while_idle(self, vectorized):
-        kk = KubeKnots(make_paper_cluster(num_nodes=3),
-                       PeakPredictionScheduler(vectorized=vectorized),
+    def test_pp_sleeps_a_device_that_empties_while_idle(self):
+        kk = KubeKnots(make_paper_cluster(num_nodes=3), PeakPredictionScheduler(),
                        kubelet_config=NO_AUTO_SLEEP)
         for kubelet in kk.kubelets.values():
             kubelet.prewarm({"img/toy"})

@@ -19,7 +19,7 @@ import pytest
 from repro.cluster.cluster import make_paper_cluster
 from repro.cluster.gpu import GPU
 from repro.cluster.quantum import demand_rows_at, pick_victim_slots
-from repro.core.schedulers import make_scheduler
+from repro.core.schedulers import SCHEDULERS, make_scheduler
 from repro.obs import Observability
 from repro.scenario.gangs import apply_gang_mix
 from repro.scenario.spec import SCENARIOS
@@ -40,7 +40,6 @@ def _build(
     n_nodes: int = 32,
     faults: tuple = (),
     scenario=None,
-    vectorized: bool = True,
     load: float = 1.0,
     obs: Observability | None = None,
 ) -> KubeKnotsSimulator:
@@ -49,11 +48,9 @@ def _build(
     )
     if scenario is not None and scenario.gangs is not None:
         workload = apply_gang_mix(workload, scenario.gangs)
-    scheduler = make_scheduler(sched_name)
-    scheduler.vectorized = vectorized
     return KubeKnotsSimulator(
         make_paper_cluster(num_nodes=n_nodes, gpus_per_node=8),
-        scheduler,
+        make_scheduler(sched_name),
         workload,
         SimConfig(min_horizon_ms=20_000.0, faults=tuple(faults), scenario=scenario),
         obs=obs,
@@ -98,12 +95,26 @@ class TestBitIdentity:
         _run_pair("faults", sched_name="cbp", faults=FAULTS)
 
     def test_diurnal_gang(self):
-        """Gang scheduler delegates ``quantum_ok`` to its inner policy."""
+        """The quantum engages under the gang wrapper too."""
         _run_pair("gang", sched_name="cbp", scenario=SCENARIOS["diurnal-gang"])
 
     def test_dense(self):
         """Overloaded cluster: OOM kills, evictions, queue churn."""
         _run_pair("dense", sched_name="cbp", load=8.0)
+
+    @pytest.mark.parametrize("case", ["plain", "dense", "faults", "diurnal-gang"])
+    @pytest.mark.parametrize("sched", ["res-ag", "uniform", "hetero-pp"])
+    def test_every_policy(self, sched, case):
+        """No policy reads the ``gpu.last_sample`` the quantum leaves
+        stale, so the quantum is exact under the list-based policies and
+        the heterogeneity-aware PP as well."""
+        kw = {
+            "plain": {},
+            "dense": {"load": 8.0},
+            "faults": {"faults": FAULTS},
+            "diurnal-gang": {"scenario": SCENARIOS["diurnal-gang"]},
+        }[case]
+        _run_pair(f"{sched}-{case}", sched_name=sched, **kw)
 
     def test_dense_default_threshold(self):
         """Default ``min_batch`` crosses the occupancy threshold both
@@ -120,9 +131,10 @@ class TestEngagement:
         for kubelet in sim.orchestrator.kubelets.values():
             assert kubelet.engine is engine
 
-    def test_disengaged_when_not_vectorized(self):
-        sim = _build(vectorized=False)
-        assert sim.orchestrator.quantum is None
+    @pytest.mark.parametrize("sched", sorted(SCHEDULERS))
+    def test_engages_in_a_dark_run_under_every_policy(self, sched):
+        sim = _build(sched_name=sched)
+        assert sim.orchestrator.quantum is not None
 
     def test_disengaged_under_observability(self):
         sim = _build(obs=Observability(trace=False, metrics=False, audit=True))
@@ -135,9 +147,9 @@ class TestEngagement:
         assert sim.orchestrator.quantum is None
 
     def test_gang_scheduler_delegates(self):
-        inner = make_scheduler("cbp")
-        inner.vectorized = True
+        """A gang-wrapped policy gets the quantum like any other."""
         sim = _build(scenario=SCENARIOS["diurnal-gang"])
+        assert sim.orchestrator.scheduler.name == "gang+cbp"
         assert sim.orchestrator.quantum is not None
 
     def test_sparse_run_stays_legacy_at_default_threshold(self):

@@ -9,6 +9,7 @@ from repro.core.orchestrator import KubeKnots
 from repro.core.schedulers import HeteroAwarePeakPrediction, make_scheduler
 from repro.core.schedulers.base import Bind
 from repro.experiments.hetero import run_hetero
+from repro.obs.context import Observability
 from tests.conftest import make_spec, make_trace
 
 
@@ -35,6 +36,35 @@ class TestSpillProtection:
         bind = next(a for a in actions if isinstance(a, Bind))
         # node1 is the 12 GB K80; the 13 GB peak cannot fit it
         assert bind.gpu_id != "node1/gpu0"
+
+    def test_unprofiled_pod_is_kept_off_a_device_its_peak_outgrows(self):
+        """Without a profile the pass estimates the peak from the request;
+        spill protection still reads the pod's own trace peak."""
+        cluster, kk = build(("K80", "V100"))
+        kk.api.submit(
+            make_spec(image="img/new", mem_mb=3_000, peak_mem_mb=13_000,
+                      requested_mem_mb=4_000.0),
+            0.0,
+        )
+        actions = kk.scheduling_pass(0.0)
+        bind = next(a for a in actions if isinstance(a, Bind))
+        # Best-capacity-fit alone would take the 12 GB K80 (node1).
+        assert bind.gpu_id == "node2/gpu0"
+
+    def test_relaxed_query_retry_is_not_restricted(self):
+        """A latency-critical query spill protection shuts out everywhere
+        still takes PP's relaxed retry, which sees every device."""
+        cluster = make_heterogeneous_cluster(("K80",))
+        obs = Observability(trace=False, metrics=False, audit=True)
+        kk = KubeKnots(cluster, make_scheduler("hetero-pp"), obs=obs)
+        kk.api.submit(
+            make_spec(image="img/query", mem_mb=3_000, peak_mem_mb=13_000,
+                      requested_mem_mb=4_000.0, qos_threshold_ms=50.0),
+            0.0,
+        )
+        actions = kk.scheduling_pass(0.0)
+        assert [a.gpu_id for a in actions if isinstance(a, Bind)] == ["node1/gpu0"]
+        assert obs.audit.binds()[0].evidence["relaxed"] is True
 
     def test_wake_path_respects_peak(self):
         cluster, kk = build(("K80", "P100"))
