@@ -68,7 +68,6 @@ class ContainerAllocation:
     alloc_mb: float
     exclusive: bool = False
     attach_seq: int = 0
-    last_usage_mb: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -116,6 +115,9 @@ class GPU:
         self._attach_counter = 0
         self._idle_memo: dict[bool, GpuSample] = {}
         self._last_sample: GpuSample = self.idle_sample()
+        #: The last :meth:`arbitrate` call's ``(demand items, shares,
+        #: sample)``, kept only when it had demands and no violation.
+        self._arb_memo: tuple[tuple, dict[str, float], GpuSample] | None = None
 
     def bind_state(self, state, index: int) -> None:
         """Attach the cluster's SoA mirror; mutations write through."""
@@ -299,10 +301,24 @@ class GPU:
             ``violation`` is set if summed memory usage exceeded the
             device and names the victim (the container that attached
             last among those over their reservation, else youngest).
+
+        A call whose ``(uid, demand)`` pairs, in order, equal the
+        previous call's returns that call's shares dict and sample
+        unchanged, provided they are non-empty and it reported no
+        violation: the result then depends on nothing else.  A repeat
+        still assigns ``last_sample``, so the bound mirror is rewritten
+        even where something wrote its columns directly.  An empty
+        demand set is never memoized (its power depends on ``asleep``)
+        and neither is a call that reported a violation.
         """
-        unknown = set(demands) - set(self.containers)
-        if unknown:
+        if not demands.keys() <= self.containers.keys():
+            unknown = set(demands) - set(self.containers)
             raise KeyError(f"demands for pods not attached to {self.gpu_id}: {sorted(unknown)}")
+        items = tuple(demands.items())
+        memo = self._arb_memo
+        if memo is not None and memo[0] == items:
+            self.last_sample = memo[2]
+            return memo[1], memo[2], None
 
         total_sm = sum(d.sm for d in demands.values())
         sm_scale = 1.0 if total_sm <= 1.0 else 1.0 / total_sm
@@ -315,8 +331,7 @@ class GPU:
             shares[uid] = sm_scale / (1.0 + self.interference_alpha * others)
 
         total_mem = 0.0
-        for uid, d in demands.items():
-            self.containers[uid].last_usage_mb = d.mem_mb
+        for d in demands.values():
             total_mem += d.mem_mb
 
         violation: CapacityViolation | None = None
@@ -345,7 +360,23 @@ class GPU:
             num_containers=len(demands),
         )
         self.last_sample = sample
+        self._arb_memo = (items, shares, sample) if items and violation is None else None
         return shares, sample, violation
+
+    def resting(self) -> bool:
+        """Asleep and healthy: the kubelet refreshes such a device's
+        idle clock every tick it stays so."""
+        return self._asleep and not self._failed
+
+    def parked(self) -> bool:
+        """Resting, empty and holding its asleep idle sample: stepping
+        the device would change nothing but its idle clock."""
+        return (
+            self._asleep
+            and not self._failed
+            and not self.containers
+            and self._last_sample is self._idle_memo.get(True)
+        )
 
     def idle_sample(self) -> GpuSample:
         """Telemetry sample for a device with no running containers.

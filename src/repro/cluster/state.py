@@ -32,7 +32,9 @@ device list (``Knots.all_gpus_by_free_memory``), compares every view it
 builds with its GPU object, so such drift is reported as
 ``mirror_consistency`` instead of steering a decision.  The sample
 columns feed the Knots telemetry ring and the simulator's energy and
-utilization record in every run, sanitized or not.
+utilization record in every run, sanitized or not; a sample write marks
+its row for the ring only when one of the ring's inputs changed
+(:meth:`ClusterState.sync_sample`).
 
 Each mutation also bumps a per-node *epoch* counter, which is what lets
 the orchestrator skip quiescent kubelets and schedulers reuse cached
@@ -127,6 +129,10 @@ class ClusterState:
         #: Devices whose sample mirror changed since the telemetry ring
         #: last consumed it (consumed and cleared by every
         #: :meth:`~repro.telemetry.matrix.MatrixTelemetry.append_span`).
+        #: "Changed" means one of the ring's inputs (``sm_util``,
+        #: ``mem_used_mb``, ``power_w``, ``tx_mbps``, ``rx_mbps``) took
+        #: another value: :meth:`sync_sample` skips a rewrite of equal
+        #: values, so a steady busy device costs the ring nothing.
         self.sample_dirty: set[int] = set()
 
         self.node_epoch = np.zeros(len(nodes), dtype=np.int64)
@@ -168,7 +174,23 @@ class ClusterState:
 
     def sync_sample(self, i: int, sample: "GpuSample") -> None:
         """Mirror ``gpu.last_sample`` (no epoch bump: samples are outputs,
-        not scheduling-relevant state transitions)."""
+        not scheduling-relevant state transitions).
+
+        Every column is written; the row joins ``sample_dirty`` only when
+        one of the telemetry ring's five inputs differs from the mirror
+        (``mem_util`` is derived from ``mem_used_mb``).  That is exact:
+        no sample field is ever -0.0, since every sum starts at 0, and a
+        NaN compares unequal, so it always marks the row.
+        """
+        dirty = self.sample_dirty
+        if i not in dirty and (
+            self.sm_util[i] != sample.sm_util
+            or self.mem_used_mb[i] != sample.mem_used_mb
+            or self.power_w[i] != sample.power_w
+            or self.tx_mbps[i] != sample.tx_mbps
+            or self.rx_mbps[i] != sample.rx_mbps
+        ):
+            dirty.add(i)
         self.sm_util[i] = sample.sm_util
         self.mem_used_mb[i] = sample.mem_used_mb
         self.mem_util[i] = sample.mem_util
@@ -176,7 +198,6 @@ class ClusterState:
         self.tx_mbps[i] = sample.tx_mbps
         self.rx_mbps[i] = sample.rx_mbps
         self.sample_containers[i] = sample.num_containers
-        self.sample_dirty.add(i)
 
     # -- derived reads ------------------------------------------------------
 

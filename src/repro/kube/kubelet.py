@@ -158,11 +158,11 @@ class Kubelet:
 
         Running pods are grouped by device in one pass over the hosted
         pods (dict order kept).  With ``prev_now`` given and no
-        sanitizer armed, a device that is asleep, empty, healthy and
-        already holds its asleep idle sample is not stepped: stepping it
-        would only set its ``idle_since`` to ``now``, and the next
-        step's ``prev_now`` replay restores that value before anything
-        reads it.
+        sanitizer armed, a parked device (``GPU.parked``: asleep, empty,
+        healthy and holding its asleep idle sample) is not stepped:
+        stepping it would only set its ``idle_since`` to ``now``, and the
+        next step's ``prev_now`` replay restores that value before
+        anything reads it.
         """
         if prev_now is not None:
             for gpu_id in self._asleep_refresh:
@@ -179,14 +179,7 @@ class Kubelet:
         skip_parked = prev_now is not None and san is None
         for gpu in self.node.gpus:
             running = running_on.get(gpu.gpu_id, ())
-            if (
-                skip_parked
-                and not running
-                and gpu.asleep
-                and not gpu.containers
-                and not gpu.failed
-                and gpu.last_sample is gpu.idle_sample()
-            ):
+            if skip_parked and not running and gpu.parked():
                 continue
             self.step_device(gpu, now, dt_ms, victims, san, running)
         return victims
@@ -324,9 +317,7 @@ class Kubelet:
         always lies at least half a tick ahead, so a conservative
         wake-up re-runs the exact legacy check and still makes progress.
         """
-        self._asleep_refresh = [
-            g.gpu_id for g in self.node.gpus if g.asleep and not g.failed
-        ]
+        self._asleep_refresh = [g.gpu_id for g in self.node.gpus if g.resting()]
         if self._pods:
             return float("-inf")
         t_min = float("inf")

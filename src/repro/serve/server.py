@@ -392,8 +392,10 @@ class KnotsService:
     # -- status/statistics ----------------------------------------------------
 
     def _gpu_util_pct(self) -> float:
-        samples = [g.last_sample.sm_util for g in self.cluster.gpus()]
-        return float(np.mean(samples)) if samples else 0.0
+        # The ClusterState mirror, in cluster order: every executed tick
+        # writes it, whichever kubelet path ran.
+        sm_util = self.cluster.state.sm_util
+        return float(np.mean(sm_util)) if len(sm_util) else 0.0
 
     def _emit_status(self, now: float) -> None:
         depth = len(self.queue)

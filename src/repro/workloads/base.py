@@ -16,6 +16,7 @@ simulator without any per-application special-casing.
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -108,11 +109,17 @@ class WorkloadTrace:
         self.name = name
         self.phases: tuple[Phase, ...] = tuple(phases)
         self.qos_class = qos_class
-        # Cumulative end-times of phases, for O(log n) progress lookup.
-        self._cum = np.cumsum([p.duration_ms for p in self.phases])
+        # Cumulative end-times of phases, for O(log n) progress lookup:
+        # a compact double array that ``bisect`` searches without a
+        # numpy call per lookup.
+        self._ends = array("d", np.cumsum([p.duration_ms for p in self.phases]).tolist())
         # Lazily-compiled phase table for the array-native execution
         # quantum (see :meth:`demand_table`).
         self._table: tuple[np.ndarray, np.ndarray] | None = None
+        # Lazily-computed peaks: the trace is immutable, and schedulers
+        # ask for them per pending pod per pass.
+        self._peak_mem: float | None = None
+        self._peak_sm: float | None = None
         self.requested_mem_mb = (
             float(requested_mem_mb) if requested_mem_mb is not None else self.peak_mem_mb()
         )
@@ -122,16 +129,16 @@ class WorkloadTrace:
     @property
     def total_ms(self) -> float:
         """Total work in the trace, in milliseconds of uncontended execution."""
-        return float(self._cum[-1])
+        return self._ends[-1]
 
     def demand_at(self, progress_ms: float) -> ResourceDemand:
         """Demand after ``progress_ms`` of work has been completed."""
         if progress_ms < 0:
             raise ValueError("progress cannot be negative")
-        if progress_ms >= self._cum[-1]:
+        ends = self._ends
+        if progress_ms >= ends[-1]:
             return self.phases[-1].demand
-        idx = int(np.searchsorted(self._cum, progress_ms, side="right"))
-        return self.phases[idx].demand
+        return self.phases[bisect.bisect_right(ends, progress_ms)].demand
 
     def demand_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Compile the trace into arrays for batched progress lookups.
@@ -145,7 +152,7 @@ class WorkloadTrace:
         """
         table = self._table
         if table is None:
-            cum = np.asarray(self._cum, dtype=float)
+            cum = np.frombuffer(self._ends)
             rows = np.array(
                 [
                     (p.demand.sm, p.demand.mem_mb, p.demand.tx_mbps, p.demand.rx_mbps)
@@ -160,10 +167,16 @@ class WorkloadTrace:
 
     def peak_mem_mb(self) -> float:
         """Worst-case device memory across the trace."""
-        return max(p.demand.mem_mb for p in self.phases)
+        peak = self._peak_mem
+        if peak is None:
+            peak = self._peak_mem = max(p.demand.mem_mb for p in self.phases)
+        return peak
 
     def peak_sm(self) -> float:
-        return max(p.demand.sm for p in self.phases)
+        peak = self._peak_sm
+        if peak is None:
+            peak = self._peak_sm = max(p.demand.sm for p in self.phases)
+        return peak
 
     def mem_percentile(self, q: float) -> float:
         """Duration-weighted percentile of the memory series.

@@ -13,6 +13,8 @@ ring exactly as one append per time would.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,39 @@ class TestFlagAndSampleSync:
         # Samples are outputs, not state transitions: no epoch bump.
         assert (state.node_epoch == before).all()
 
+    def test_equal_resync_leaves_the_row_clean(self, cluster, state):
+        gpu = _gpus(cluster)[4]
+        sample = GpuSample(sm_util=0.7, mem_used_mb=123.4, mem_util=0.01,
+                           power_w=151.7, tx_mbps=12.0, rx_mbps=3.0,
+                           num_containers=2)
+        gpu.last_sample = sample
+        state.sample_dirty.clear()
+        gpu.last_sample = replace(sample)      # equal values, another object
+        gpu.last_sample = sample
+        assert state.sample_dirty == set()
+
+    @pytest.mark.parametrize("field", ["sm_util", "mem_used_mb", "power_w", "tx_mbps", "rx_mbps"])
+    def test_a_changed_ring_input_marks_the_row(self, cluster, state, field):
+        gpu = _gpus(cluster)[4]
+        i = state.index[gpu.gpu_id]
+        sample = GpuSample(sm_util=0.7, mem_used_mb=123.4, mem_util=0.01,
+                           power_w=151.7, tx_mbps=12.0, rx_mbps=3.0,
+                           num_containers=2)
+        gpu.last_sample = sample
+        state.sample_dirty.clear()
+        gpu.last_sample = replace(sample, **{field: getattr(sample, field) + 0.25})
+        assert state.sample_dirty == {i}
+
+    def test_a_nan_field_marks_the_row_on_every_sync(self, cluster, state):
+        gpu = _gpus(cluster)[4]
+        i = state.index[gpu.gpu_id]
+        sample = GpuSample(sm_util=float("nan"), mem_used_mb=0.0, mem_util=0.0,
+                           power_w=30.0, tx_mbps=0.0, rx_mbps=0.0)
+        gpu.last_sample = sample
+        state.sample_dirty.clear()
+        gpu.last_sample = sample
+        assert state.sample_dirty == {i}
+
     def test_idle_sample_is_memoized_per_power_state(self, cluster):
         gpu = _gpus(cluster)[0]
         awake = gpu.idle_sample()
@@ -217,6 +252,32 @@ class TestSparseHeartbeat:
 
         for metric in METRICS:
             np.testing.assert_array_equal(ring.data[metric][1], want[metric])
+
+    def test_steady_resyncs_match_full_requantization(self, cluster, state):
+        """Busy devices re-sync equal samples every tick: their rows stay
+        clean, and every stored row still equals a full requantization,
+        including after a device moves and moves back before a heartbeat."""
+        rng = np.random.default_rng(5)
+        ring = MatrixTelemetry(state, heartbeat_ms=100.0, window_ms=1_000.0)
+        gpus = _gpus(cluster)
+        _rand_samples(cluster, rng)
+        for row in range(12):
+            if row % 4 == 2:
+                gpu = gpus[int(rng.integers(len(gpus)))]
+                gpu.last_sample = replace(gpu.last_sample, power_w=float(rng.uniform(25, 250)))
+            if row % 4 == 3:
+                gpu = gpus[int(rng.integers(len(gpus)))]
+                kept = gpu.last_sample
+                gpu.last_sample = replace(kept, sm_util=float(rng.uniform(0, 1)))
+                gpu.last_sample = kept
+            for gpu in gpus:
+                gpu.last_sample = replace(gpu.last_sample)
+            if row and row % 4 in (0, 1):
+                assert state.sample_dirty == set()
+            want = _full_row(state)
+            ring.append_from_state(100.0 * row)
+            for metric in METRICS:
+                np.testing.assert_array_equal(ring.data[metric][row], want[metric])
 
     def test_quiescent_heartbeat_repeats_the_row_exactly(self, cluster, state):
         rng = np.random.default_rng(11)

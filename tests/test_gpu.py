@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cluster.cluster import make_paper_cluster
 from repro.cluster.gpu import GPU
 from repro.workloads.base import ResourceDemand
 
@@ -170,3 +171,119 @@ class TestArbitration:
         shares, sample, _ = gpu.arbitrate(demands)
         assert all(0.0 < v <= 1.0 for v in shares.values())
         assert 0.0 <= sample.sm_util <= 1.0
+
+
+def _bound_gpu():
+    """One device bound to its cluster's ClusterState mirror (row 0)."""
+    cluster = make_paper_cluster(num_nodes=1, gpus_per_node=1)
+    return next(cluster.gpus()), cluster.state
+
+
+def _mirror_row(state):
+    return (state.sm_util[0], state.mem_used_mb[0], state.mem_util[0], state.power_w[0],
+            state.tx_mbps[0], state.rx_mbps[0], state.sample_containers[0])
+
+
+def _sample_row(sample):
+    return (sample.sm_util, sample.mem_used_mb, sample.mem_util, sample.power_w,
+            sample.tx_mbps, sample.rx_mbps, sample.num_containers)
+
+
+class TestArbitrationMemo:
+    """A call that repeats the previous call's demands returns its result."""
+
+    @staticmethod
+    def _busy():
+        gpu, state = _bound_gpu()
+        gpu.attach("a", 4_000)
+        gpu.attach("b", 4_000)
+        demands = {
+            "a": demand(sm=0.7, mem=3_000.0, tx=50.0),
+            "b": demand(sm=0.6, mem=2_500.0, rx=20.0),
+        }
+        return gpu, state, demands
+
+    def test_repeat_returns_the_identical_sample(self):
+        gpu, state, demands = self._busy()
+        shares, sample, violation = gpu.arbitrate(demands)
+        again_shares, again, again_violation = gpu.arbitrate(dict(demands))
+        assert again is sample
+        assert again_shares == shares
+        assert violation is None and again_violation is None
+        assert gpu.last_sample is sample
+        assert _mirror_row(state) == _sample_row(sample)
+
+    def test_equal_but_distinct_demands_hit(self):
+        gpu, _, demands = self._busy()
+        _, sample, _ = gpu.arbitrate(demands)
+        copies = {
+            uid: ResourceDemand(sm=d.sm, mem_mb=d.mem_mb, tx_mbps=d.tx_mbps, rx_mbps=d.rx_mbps)
+            for uid, d in demands.items()
+        }
+        assert all(copies[uid] is not demands[uid] for uid in demands)
+        assert gpu.arbitrate(copies)[1] is sample
+
+    @pytest.mark.parametrize("change", ["order", "uids", "value"])
+    def test_changed_demands_miss(self, change):
+        gpu, _, demands = self._busy()
+        _, sample, _ = gpu.arbitrate(demands)
+        changed = {
+            "order": dict(reversed(demands.items())),
+            "uids": {"a": demands["a"]},
+            "value": {**demands, "b": demand(sm=0.6, mem=2_500.5, rx=20.0)},
+        }[change]
+        shares, fresh, _ = gpu.arbitrate(changed)
+        assert fresh is not sample
+        # The recomputed result is what a device that never saw the
+        # first call returns.
+        ref_shares, ref_sample, _ = self._busy()[0].arbitrate(changed)
+        assert shares == ref_shares
+        assert fresh == ref_sample
+
+    def test_violation_is_reported_on_every_call(self):
+        gpu, _ = _bound_gpu()
+        gpu.attach("old", 1_000)
+        gpu.attach("young", 1_000)
+        over = {
+            "old": demand(mem=0.6 * gpu.mem_capacity_mb),
+            "young": demand(mem=0.6 * gpu.mem_capacity_mb),
+        }
+        violations = [gpu.arbitrate(over)[2] for _ in range(3)]
+        assert all(v is not None and v.victim_uid == "young" for v in violations)
+
+    def test_empty_device_reports_sleep_power_after_sleeping(self):
+        """An empty demand set is never memoized: its sample's power
+        depends on ``asleep``, which the demands do not show."""
+        gpu, state = _bound_gpu()
+        _, awake, _ = gpu.arbitrate({})
+        gpu.sleep()
+        _, asleep, _ = gpu.arbitrate({})
+        assert asleep.power_w == gpu.power_model.sleep_watts < awake.power_w
+        assert state.power_w[0] == asleep.power_w
+
+    def test_hit_restores_a_directly_written_mirror(self):
+        """The quantum writes the mirror columns directly; a memo hit
+        still writes its sample through, and marks the row for the ring."""
+        gpu, state, demands = self._busy()
+        _, sample, _ = gpu.arbitrate(demands)
+        for column in (state.sm_util, state.mem_used_mb, state.mem_util, state.power_w,
+                       state.tx_mbps, state.rx_mbps):
+            column[0] = 0.0
+        state.sample_dirty.clear()
+        assert gpu.arbitrate(demands)[1] is sample
+        assert _mirror_row(state) == _sample_row(sample)
+        assert state.sample_dirty == {0}
+
+
+class TestParked:
+    def test_parked_needs_the_asleep_idle_sample(self):
+        gpu = GPU("g")
+        assert not gpu.resting() and not gpu.parked()
+        gpu.sleep()
+        # Asleep but still holding the awake idle sample: a step would
+        # write the asleep one.
+        assert gpu.resting() and not gpu.parked()
+        gpu.last_sample = gpu.idle_sample()
+        assert gpu.parked()
+        gpu.fail()
+        assert not gpu.resting() and not gpu.parked()

@@ -27,6 +27,7 @@ from repro.sim.simulator import DeviceFault, KubeKnotsSimulator, SimConfig
 from repro.workloads.appmix import generate_appmix_workload
 from repro.workloads.base import Phase, ResourceDemand, WorkloadTrace
 
+from tests.conftest import make_spec
 from tests.test_sim_equivalence import assert_kk_identical, pod_signature
 
 FAULTS = (
@@ -121,6 +122,53 @@ class TestBitIdentity:
         ways mid-run — the progress-authority handoff (flush on the way
         down, resync on the way up) must not perturb anything."""
         _run_pair("dense-mbdef", min_batch=None, sched_name="cbp", load=8.0)
+
+
+def _two_node_events(fast: bool) -> list[tuple]:
+    """API events of a two-node run where pod-1 completes on node1 in
+    the tick pod-2's start deadline passes on node2 (t = 120 ms).
+
+    ``uniform`` gives each pod a device of its own in node order, so
+    pod-2 lands on node2 while pod-1 still runs.  ``fast`` forces every
+    tick through the quantum (``min_batch=0``); otherwise the object
+    tick runs alone.
+    """
+    workload = [
+        (0.0, make_spec(name="a", image="img/a", duration_ms=110.0, mem_mb=1_000.0)),
+        (90.0, make_spec(name="b", image="img/b", duration_ms=100.0, mem_mb=1_000.0)),
+    ]
+    sim = KubeKnotsSimulator(
+        make_paper_cluster(num_nodes=2, gpus_per_node=1),
+        make_scheduler("uniform"),
+        workload,
+        SimConfig(min_horizon_ms=2_000.0),
+    )
+    if fast:
+        sim.orchestrator.quantum.min_batch = 0
+    else:
+        sim.orchestrator.quantum = None
+        for kubelet in sim.orchestrator.kubelets.values():
+            kubelet.engine = None
+    sim.run()
+    return [(e.time, e.type.value, e.pod_uid, e.detail) for e in sim.orchestrator.api.events]
+
+
+class TestEventOrder:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason='ROADMAP: "The quantum logs same-tick events in another order" — '
+        "its tick starts every due pod on every node before any device steps, "
+        "the object tick runs each node's starts and then its devices",
+    )
+    def test_same_tick_events_keep_node_order(self):
+        """``SimResult`` equality misses this: the pods, energy and
+        series agree, only the order of the API event log differs."""
+        slow = _two_node_events(fast=False)
+        same_tick = [(t, kind, uid) for t, kind, uid, _ in slow if t == 120.0]
+        if same_tick != [(120.0, "succeeded", "pod-1"), (120.0, "started", "pod-2")]:
+            pytest.fail(f"the scenario lost its same-tick events: {same_tick}")
+        assert _two_node_events(fast=True) == slow
 
 
 class TestEngagement:

@@ -8,6 +8,9 @@ step, Knots query, DL-simulator loop), not by calling checks directly.
 
 from __future__ import annotations
 
+import hashlib
+import math
+
 import pytest
 
 from repro.analysis.sanitizer import INVARIANTS, Sanitizer, SanitizerError, Violation
@@ -23,7 +26,7 @@ from repro.kube.kubelet import Kubelet, KubeletConfig
 from repro.obs.context import Observability
 from repro.sim.dlsim import DLClusterSimulator, make_dl_policy
 from repro.sim.engine import EventLoop, SimulationError
-from repro.sim.simulator import KubeKnotsSimulator
+from repro.sim.simulator import KubeKnotsSimulator, SimConfig, run_appmix
 from repro.workloads.dlt import DLJob, DLJobKind
 from tests.conftest import make_spec
 from tests.test_simulator import tiny_workload
@@ -347,3 +350,58 @@ class TestCleanEndToEnd:
         assert len(result.completed()) == 8
         assert sanitized_obs.sanitizer.violations == []
         assert sanitized_obs.sanitizer.checks > 0
+
+
+def _fingerprint(result, checks: int) -> str:
+    """sha256 over a run's results and its sanitizer check count, floats
+    at ten significant digits (a last-bit difference from another SIMD
+    reduction order does not show; a changed decision or sample does)."""
+    h = hashlib.sha256()
+
+    def put(*fields: str) -> None:
+        h.update(("\x1f".join(fields) + "\n").encode())
+
+    def f(x) -> str:
+        return "-" if x is None else format(float(x), ".10g")
+
+    put(result.scheduler, f(result.makespan_ms), str(result.oom_kills),
+        str(result.evictions), str(result.resizes), str(checks))
+    for p in result.pods:
+        put(p.uid, p.phase.value, str(p.gpu_id), f(p.alloc_mb), f(p.progress_ms),
+            str(p.restart_count), f(p.submitted_ms), f(p.started_ms), f(p.finished_ms))
+    for gpu_id, joules in sorted(result.energy_j_per_gpu.items()):
+        put(gpu_id, f(joules))
+    for series in (result.gpu_util_series, result.gpu_mem_series):
+        for gpu_id, values in sorted(series.items()):
+            put(gpu_id, str(len(values)), f(math.fsum(values.tolist())))
+    times = result.sample_times_ms
+    put(str(len(times)), f(math.fsum(times.tolist())))
+    return h.hexdigest()
+
+
+class TestSanitizedGolden:
+    """Pinned fingerprints of two sanitized runs.  A sanitized run steps
+    every device every tick, empty ones included, so a shortcut in the
+    object tick that a dark run never takes shows here (a memo of
+    ``GPU.arbitrate`` keyed on the demands alone changes the first)."""
+
+    @pytest.mark.parametrize(
+        "mix, scheduler, load, checks, digest",
+        [
+            ("app-mix-3", "peak-prediction", 1.0, 19_091,
+             "339351bd4045fd961542a41b70e738e8d5c3640ae69585dbee7eccfb964a3016"),
+            ("app-mix-1", "cbp", 0.3, 38_555,
+             "11c7a724bd9b89fc33a98d3becbe43f2396db753005e078c979bc4de3dd13386"),
+        ],
+        ids=["pp-app-mix-3", "cbp-app-mix-1"],
+    )
+    def test_sanitized_run_matches_its_pin(self, sanitized_obs, mix, scheduler, load, checks, digest):
+        result = run_appmix(
+            mix, make_scheduler(scheduler), duration_s=8, seed=3, num_nodes=6,
+            gpus_per_node=2, load_factor=load,
+            config=SimConfig(min_horizon_ms=20_000, horizon_factor=1), obs=sanitized_obs,
+        )
+        san = sanitized_obs.sanitizer
+        assert san.violations == []
+        assert san.checks == checks
+        assert _fingerprint(result, san.checks) == digest

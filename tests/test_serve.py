@@ -14,6 +14,7 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.serve import (
@@ -282,6 +283,18 @@ class TestKnotsService:
         report = report_box[0]
         assert report.counts["dropped"] == 0
         assert report.counts["submitted"] == report.counts["accepted"]
+
+    def test_utilization_gauge_reads_the_state_mirror(self):
+        cfg = ServeConfig(duration_s=0.5, paced=False, http=False, **SMALL)
+        svc = KnotsService(cfg)
+        svc.inject_workload(synthesize_workload(qps=40.0, duration_s=0.5, seed=6))
+        report = svc.run()
+        state = svc.cluster.state
+        assert report.gpu_util_pct == np.mean(state.sm_util)
+        # The vectorized quantum writes the mirror columns without
+        # touching the GPU objects' samples; the gauge follows them.
+        state.sm_util[:] = np.linspace(0.1, 0.9, len(state))
+        assert svc.stats()["gpu_util_pct"] == np.mean(state.sm_util)
 
     def test_audit_log_records_binds(self):
         cfg = ServeConfig(duration_s=0.5, paced=False, http=False, **SMALL)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.workloads.base import Phase, QoSClass, ResourceDemand, WorkloadTrace
 
@@ -57,12 +57,47 @@ class TestDemandLookup:
         trace = WorkloadTrace("t", phases_from([(10, 0.1, 1), (15, 0.2, 2), (5, 0.3, 3)]))
         assert trace.total_ms == 30
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        durations=st.lists(
+            st.one_of(
+                st.floats(min_value=1e-3, max_value=1e4),
+                st.integers(min_value=1, max_value=1_000),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        extra=st.lists(st.floats(min_value=0.0, max_value=3e5), max_size=8),
+    )
+    def test_demand_at_matches_searchsorted(self, durations, extra):
+        """The lookup equals ``searchsorted(side="right")`` over the
+        cumulative phase ends, clamped to the final phase, at every
+        boundary, next to each, at 0, at the total and past it."""
+        trace = WorkloadTrace(
+            "t",
+            [
+                Phase(d, ResourceDemand(sm=0.5, mem_mb=float(i), tx_mbps=0.0, rx_mbps=0.0))
+                for i, d in enumerate(durations)
+            ],
+        )
+        cum = np.cumsum(durations)
+        total = float(cum[-1])
+        assert trace.total_ms == total
+        probes = [0.0, total, total * 2.0 + 1.0, *extra]
+        for end in cum.tolist():
+            end = float(end)
+            probes += [end, np.nextafter(end, 0.0), np.nextafter(end, np.inf)]
+        for p in probes:
+            idx = min(int(np.searchsorted(cum, p, side="right")), len(cum) - 1)
+            assert trace.demand_at(p) is trace.phases[idx].demand, p
+
 
 class TestStatistics:
     def test_peak_and_percentile(self):
         # 90 ms at 100 MB, 10 ms at 1000 MB
         trace = WorkloadTrace("t", phases_from([(90, 0.1, 100), (10, 0.9, 1000)]))
         assert trace.peak_mem_mb() == 1000
+        assert trace.peak_sm() == 0.9
         assert trace.mem_percentile(80) == 100   # peak occupies only 10 %
         assert trace.mem_percentile(95) == 1000
 
