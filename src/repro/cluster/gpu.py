@@ -192,12 +192,15 @@ class GPU:
         return any(c.exclusive for c in self.containers.values())
 
     def can_fit(self, alloc_mb: float, exclusive: bool = False) -> bool:
-        """Admission check against reservations."""
+        """Admission check against reservations: an exclusive request
+        needs an empty device, and every request must fit its free
+        memory."""
         if self.failed or self.cordoned:
             return False
         if exclusive:
-            return not self.containers
-        if self.is_exclusive:
+            if self.containers:
+                return False
+        elif self.is_exclusive:
             return False
         return alloc_mb <= self.free_mem_mb + 1e-9
 

@@ -585,7 +585,8 @@ class QuantumEngine:
             setattr(self, name, new)
 
     def _compact(self) -> None:
-        """Drop tombstones, preserving slot order (= admit order)."""
+        """Drop tombstones, preserving slot order (= admit order), and
+        the phase tables of traces no live slot runs."""
         n = self._n_slots
         keep = np.nonzero(self._alive[:n])[0]
         m = len(keep)
@@ -604,3 +605,43 @@ class QuantumEngine:
         self._slot = {pod.uid: j for j, pod in enumerate(live)}
         self._n_slots = m
         self._dead = 0
+        self._compact_tables(live)
+
+    def _compact_tables(self, live: list) -> None:
+        """Rebuild the phase tables from the traces of ``live`` (the
+        compacted slots' pods): one segment per distinct trace, in slot
+        order, with values copied, never recomputed.
+
+        ``_trace_seg`` is keyed by ``id(trace)``, and a trace dropped
+        from ``_trace_refs`` may be freed and its id reused, so both
+        forget a dead trace together.
+        """
+        old_seg = self._trace_seg
+        seg: dict[int, tuple[int, int]] = {}
+        refs: list = []
+        src: list[np.ndarray] = []
+        offs = np.empty(len(live), dtype=np.intp)
+        end = 0
+        for j, pod in enumerate(live):
+            trace = pod.spec.trace
+            key = id(trace)
+            mine = seg.get(key)
+            if mine is None:
+                off, k = old_seg[key]
+                src.append(np.arange(off, off + k))
+                mine = seg[key] = (end, k)
+                refs.append(trace)
+                end += k
+            offs[j] = mine[0]
+        cap = 256
+        while cap < end:
+            cap *= 2
+        idx = np.concatenate(src) if src else np.empty(0, dtype=np.intp)
+        for name in ("_g_cum", "_g_sm", "_g_mem", "_g_tx", "_g_rx"):
+            table = np.zeros(cap)
+            table[:end] = getattr(self, name)[idx]
+            setattr(self, name, table)
+        self._t_off[: len(live)] = offs
+        self._trace_seg = seg
+        self._trace_refs = refs
+        self._trace_len = end

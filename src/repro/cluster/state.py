@@ -26,15 +26,23 @@ mutation — never incrementally adjusted — so ``capacity - alloc_mb[i]``
 is bit-identical to ``gpu.free_mem_mb`` computed fresh.  Code that
 mutates a ``ContainerAllocation.alloc_mb`` directly (some sanitizer
 tests do, to corrupt state on purpose) bypasses the mirror.  Under the
-sanitizer the array scheduling pass and the vectorized quantum stay
-off, and the one allocation read that remains, Algorithm 1's sorted
-device list (``Knots.all_gpus_by_free_memory``), compares every view it
-builds with its GPU object, so such drift is reported as
-``mirror_consistency`` instead of steering a decision.  The sample
-columns feed the Knots telemetry ring and the simulator's energy and
-utilization record in every run, sanitized or not; a sample write marks
-its row for the ring only when one of the ring's inputs changed
-(:meth:`ClusterState.sync_sample`).
+sanitizer only the vectorized quantum stays off: the array scheduling
+pass runs as in a dark run, and Algorithm 1's sorted device list
+(``Knots.all_gpus_by_free_memory``), which a sanitized pass takes once,
+compares every view it builds with its GPU object, so such drift is
+reported as ``mirror_consistency`` instead of steering a decision.  The
+sample columns feed the Knots telemetry ring and the simulator's energy
+and utilization record in every run, sanitized or not.
+
+**The telemetry ring trusts ``sample_dirty``.**  A device whose sample
+can have changed since the ring's previous append must be in
+``sample_dirty`` when the next append runs:
+:meth:`ClusterState.sync_sample` marks every row in which one of the
+ring's five inputs took another value, and the vectorized quantum marks
+every row it writes.  The ring keeps a column only for devices that
+were marked after its first heartbeat and reads every other device's
+whole history from its one held value, so a sample column written
+without marking its row would rewrite that device's logged past.
 
 Each mutation also bumps a per-node *epoch* counter, which is what lets
 the orchestrator skip quiescent kubelets and schedulers reuse cached

@@ -4,10 +4,11 @@ GPU sharing is disabled by default in Kubernetes (Sec. III-B); a pod
 gets a whole device exclusively until it completes and cannot be
 preempted.  Placement is utilization-agnostic spreading: the pending
 queue is served strictly FIFO and the head pod takes the first idle
-device in node order.  When every device is busy, the *entire queue
-waits* — the head-of-line blocking that drives this baseline's ~18 %
-QoS violations (Sec. VI-B): a 10 ms inference query stuck behind a
-batch job blows its 150 ms SLO long before a GPU frees up.
+device in node order whose memory can hold its request.  When no idle
+device can, the *entire queue waits* — the head-of-line blocking that
+drives this baseline's ~18 % QoS violations (Sec. VI-B): a 10 ms
+inference query stuck behind a batch job blows its 150 ms SLO long
+before a GPU frees up.
 """
 
 from __future__ import annotations
@@ -27,19 +28,29 @@ class UniformScheduler(Scheduler):
         actions: list[Action] = []
         auditing = self.obs.audit.enabled
         queue_depth = len(ctx.pending)
-        # Devices with nothing resident and no bind issued this pass.
-        free = [
-            v.gpu_id
+        # Devices with nothing resident and no bind issued this pass,
+        # with the memory each can reserve.
+        free: list[tuple[str, float] | None] = [
+            (v.gpu_id, v.free_alloc_mb)
             for v in ctx.knots.all_gpus_by_free_memory()
             if not ctx.residents_on(v.gpu_id)
         ]
         # Keep node order (spreading), not free-memory order: the stock
         # scheduler is agnostic of GPU metrics.
         free.sort()
-        it = iter(free)
+        idle = len(free)
+        head = 0                          # first device not yet taken
         for pod in ctx.pending:           # strict FIFO
-            gpu_id = next(it, None)
-            if gpu_id is None:
+            need = pod.spec.requested_mem_mb
+            # The first idle device in node order that can hold the pod.
+            pick = next(
+                (
+                    i for i in range(head, idle)
+                    if free[i] is not None and need <= free[i][1] + 1e-9
+                ),
+                None,
+            )
+            if pick is None:
                 # Head-of-line blocking: everything behind waits too.
                 if auditing:
                     for waiting in ctx.pending[len(actions):]:
@@ -47,10 +58,14 @@ class UniformScheduler(Scheduler):
                             waiting, queue_depth, evidence={"reason": "head-of-line"}
                         )
                 break
-            actions.append(Bind(pod.uid, gpu_id, pod.spec.requested_mem_mb))
+            gpu_id = free[pick][0]
+            free[pick] = None
+            while head < idle and free[head] is None:
+                head += 1
+            actions.append(Bind(pod.uid, gpu_id, need))
             if auditing:
                 self._audit_bind(
-                    pod, gpu_id, pod.spec.requested_mem_mb, queue_depth,
-                    evidence={"exclusive": True, "idle_devices": len(free)},
+                    pod, gpu_id, need, queue_depth,
+                    evidence={"exclusive": True, "idle_devices": idle},
                 )
         return actions

@@ -24,6 +24,7 @@ from repro.cluster.cluster import make_paper_cluster
 from repro.cluster.gpu import GpuSample
 from repro.telemetry.matrix import MatrixTelemetry
 from repro.telemetry.nvml import METRICS
+from tests.dense_ring import DenseRing, windows_of
 
 
 @pytest.fixture
@@ -224,8 +225,8 @@ def _rand_samples(cluster, rng):
 
 def _full_row(state):
     """The reference: full quantization of the current mirrors (what a
-    fresh ring's first append computes for every device)."""
-    ref = MatrixTelemetry(state, heartbeat_ms=100.0, window_ms=1_000.0)
+    fresh dense ring's first append computes for every device)."""
+    ref = DenseRing(state, heartbeat_ms=100.0, window_ms=1_000.0)
     saved = set(state.sample_dirty)
     ref.append_from_state(ref.last_t if ref.count else 0.0)
     state.sample_dirty |= saved            # appends consume the dirty set
@@ -250,8 +251,9 @@ class TestSparseHeartbeat:
         want = _full_row(state)
         ring.append_from_state(100.0)
 
+        got = windows_of(ring)
         for metric in METRICS:
-            np.testing.assert_array_equal(ring.data[metric][1], want[metric])
+            np.testing.assert_array_equal(got[metric][1], want[metric])
 
     def test_steady_resyncs_match_full_requantization(self, cluster, state):
         """Busy devices re-sync equal samples every tick: their rows stay
@@ -276,8 +278,9 @@ class TestSparseHeartbeat:
                 assert state.sample_dirty == set()
             want = _full_row(state)
             ring.append_from_state(100.0 * row)
+            got = windows_of(ring)
             for metric in METRICS:
-                np.testing.assert_array_equal(ring.data[metric][row], want[metric])
+                np.testing.assert_array_equal(got[metric][row], want[metric])
 
     def test_quiescent_heartbeat_repeats_the_row_exactly(self, cluster, state):
         rng = np.random.default_rng(11)
@@ -285,8 +288,9 @@ class TestSparseHeartbeat:
         _rand_samples(cluster, rng)
         ring.append_from_state(0.0)
         ring.append_from_state(100.0)      # nothing dirty: pure row copy
+        got = windows_of(ring)
         for metric in METRICS:
-            np.testing.assert_array_equal(ring.data[metric][1], ring.data[metric][0])
+            np.testing.assert_array_equal(got[metric][1], got[metric][0])
         assert ring.version == 2
 
     def test_every_append_consumes_the_dirty_set(self, cluster, state):
@@ -339,11 +343,14 @@ def _move(twins, rng, devices):
 
 
 def _ring_image(ring):
-    """Everything an append can change, over the rows written so far."""
+    """Everything an append can change, over the rows written so far:
+    every logged window, read through ``query``, and which devices
+    hold a column."""
     rows = ring.count
     return (
         ring.times[:rows].tobytes(),
-        {m: ring.data[m][:rows].tobytes() for m in METRICS},
+        {m: w.tobytes() for m, w in windows_of(ring).items()},
+        ring.slot.tobytes(),
         ring.head, ring.count, ring.version, ring.last_t,
     )
 
@@ -406,11 +413,9 @@ class TestSpanAppend:
         ring.append_from_state(100.0)
         _gpus(cluster)[2].last_sample = _gpus(cluster)[2].idle_sample()
         before = _ring_image(ring)
-        cur = ring._cur_row.copy()
         with pytest.raises(ValueError, match="non-monotonic"):
             ring.append_span(times)
         assert _ring_image(ring) == before
-        assert ring._cur_row.tobytes() == cur.tobytes()
         assert state.sample_dirty == {2}
 
     def test_empty_span_changes_nothing(self, cluster, state):

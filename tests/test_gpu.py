@@ -45,6 +45,15 @@ class TestAllocation:
         gpu.attach("a", 100)
         assert not gpu.can_fit(100, exclusive=True)
 
+    def test_exclusive_request_must_fit_the_device(self):
+        gpu = GPU("g", mem_capacity_mb=12_288)
+        assert not gpu.can_fit(16_220.16, exclusive=True)
+        with pytest.raises(ValueError):
+            gpu.attach("a", 16_220.16, exclusive=True)
+        assert gpu.can_fit(12_288, exclusive=True)
+        gpu.attach("b", 12_288, exclusive=True)
+        assert gpu.free_mem_mb == 0
+
     def test_detach_frees_reservation(self):
         gpu = GPU("g")
         gpu.attach("a", 5_000)

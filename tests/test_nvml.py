@@ -103,8 +103,9 @@ def _assert_row_is_sampled(cluster: Cluster, ring: MatrixTelemetry, row: int) ->
     for node in cluster:
         for gpu_id, metrics in NvmlSampler(node.gpus).sample().items():
             col = cluster.state.index[gpu_id]
+            windows = ring.query(col, METRICS, -np.inf, np.inf)
             for metric in METRICS:
-                got = ring.data[metric][row, col]
+                got = windows[metric].values[row]
                 want = np.float64(metrics[metric])
                 assert got.tobytes() == want.tobytes(), (gpu_id, metric, got, want)
 

@@ -14,7 +14,7 @@ import math
 import pytest
 
 from repro.analysis.sanitizer import INVARIANTS, Sanitizer, SanitizerError, Violation
-from repro.cluster.cluster import make_paper_cluster
+from repro.cluster.cluster import make_heterogeneous_cluster, make_paper_cluster
 from repro.cluster.node import GpuNode
 from repro.core.knots import Knots, KnotsConfig
 from repro.core.orchestrator import KubeKnots
@@ -27,6 +27,7 @@ from repro.obs.context import Observability
 from repro.sim.dlsim import DLClusterSimulator, make_dl_policy
 from repro.sim.engine import EventLoop, SimulationError
 from repro.sim.simulator import KubeKnotsSimulator, SimConfig, run_appmix
+from repro.workloads.appmix import generate_appmix_workload
 from repro.workloads.dlt import DLJob, DLJobKind
 from tests.conftest import make_spec
 from tests.test_simulator import tiny_workload
@@ -405,3 +406,18 @@ class TestSanitizedGolden:
         assert san.violations == []
         assert san.checks == checks
         assert _fingerprint(result, san.checks) == digest
+
+
+def test_uniform_keeps_reservations_within_small_devices(sanitized_obs):
+    """Uniform on a fleet with 12,288 MB M40s and K80s beside P100s and
+    V100s: app-mix-1's largest requests (16,220 MB) go only to devices
+    that can hold them, so the sanitized run completes clean."""
+    workload = generate_appmix_workload("app-mix-1", duration_s=2, seed=3, load_factor=8)
+    sim = KubeKnotsSimulator(
+        make_heterogeneous_cluster(("P100", "M40", "V100", "K80") * 2),
+        make_scheduler("uniform"), workload, SimConfig(), obs=sanitized_obs,
+    )
+    assert max(spec.requested_mem_mb for _, spec in workload) > 12_288
+    sim.run()
+    assert sanitized_obs.sanitizer.violations == []
+    assert sanitized_obs.sanitizer.checks > 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.cluster import make_paper_cluster
+from repro.cluster.cluster import make_heterogeneous_cluster, make_paper_cluster
 from repro.core.orchestrator import KubeKnots
 from repro.core.schedulers import ResourceAgnosticScheduler, UniformScheduler
 from repro.core.schedulers.base import Bind
@@ -51,6 +51,27 @@ class TestUniform:
 
     def test_requires_exclusive_plugin(self):
         assert UniformScheduler.requires_sharing is False
+
+    def test_skips_an_idle_device_too_small_for_the_pod(self):
+        """Each pod, in FIFO order, takes the first idle device in node
+        order that can hold it; a pod no idle device can hold blocks
+        the queue."""
+        cluster = make_heterogeneous_cluster(("K80", "P100", "K80", "P100"))
+        kk = KubeKnots(cluster, UniformScheduler())
+        big = kk.api.submit(make_spec("big", mem_mb=14_000.0), 0.0)
+        small = kk.api.submit(make_spec("small", mem_mb=1_000.0), 0.0)
+        big2 = kk.api.submit(make_spec("big2", mem_mb=14_000.0), 0.0)
+        big3 = kk.api.submit(make_spec("big3", mem_mb=14_000.0), 0.0)
+        tiny = kk.api.submit(make_spec("tiny", mem_mb=10.0), 0.0)
+        binds = {
+            a.pod_uid: a.gpu_id for a in kk.scheduling_pass(0.0) if isinstance(a, Bind)
+        }
+        assert binds == {
+            big.uid: "node2/gpu0", small.uid: "node1/gpu0", big2.uid: "node4/gpu0",
+        }
+        assert big3.phase is tiny.phase is PodPhase.PENDING
+        for gpu in cluster.gpus():
+            assert gpu.allocated_mem_mb <= gpu.mem_capacity_mb
 
 
 class TestResAg:

@@ -25,6 +25,7 @@ from repro.telemetry.nvml import METRICS
 from repro.workloads.appmix import generate_appmix_workload
 from repro.workloads.dlt import DLWorkloadConfig, generate_dl_workload
 from tests.conftest import make_spec
+from tests.dense_ring import windows_of
 
 KK_SCHEDULERS = ["cbp", "peak-prediction", "uniform", "res-ag"]
 DL_POLICIES = ["cbp-pp", "gandiva", "res-ag", "tiresias"]
@@ -188,8 +189,10 @@ class TestKubeKnotsEquivalence:
             ring_b.head, ring_b.version, ring_b.last_t
         )
         assert ring_a.times.tobytes() == ring_b.times.tobytes()
+        assert ring_a.slot.tobytes() == ring_b.slot.tobytes()
+        logged_a, logged_b = windows_of(ring_a), windows_of(ring_b)
         for metric in METRICS:
-            assert ring_a.data[metric].tobytes() == ring_b.data[metric].tobytes(), metric
+            assert logged_a[metric].tobytes() == logged_b[metric].tobytes(), metric
         if metrics:
             count = {
                 sim.obs.metrics.counter("knots_heartbeats_total").value() for sim in (a, b)
