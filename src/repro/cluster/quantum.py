@@ -274,6 +274,12 @@ class QuantumEngine:
         nodes take the unmodified legacy step and keep their quiet
         horizons, so quiescence skipping composes unchanged.
         """
+        # Compact before routing, so that runs whose ticks all take the
+        # legacy step drop dead slots and traces too.  Not in
+        # ``on_release``: the rare-event replay calls it in the middle of
+        # ``_fast_tick``, while slot indices are held.
+        if self._dead >= self._COMPACT_MIN_DEAD and self._dead * 2 > self._n_slots:
+            self._compact()
         kubelets = self._kubelets
         victims: list = []
         fast: list[int] = []
@@ -346,8 +352,6 @@ class QuantumEngine:
                     idle_since = kubelet._idle_since
                     for gpu_id in kubelet._asleep_refresh:
                         idle_since[gpu_id] = prev_now
-        if self._dead >= self._COMPACT_MIN_DEAD and self._dead * 2 > self._n_slots:
-            self._compact()
         n = self._n_slots
         nd = len(state)
         run = self._run

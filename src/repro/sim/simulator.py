@@ -21,8 +21,9 @@ and one recorded series row with its tick count — same-seed outputs
 stay bit-identical to the reference tick loop
 (:func:`repro.sim.reference.run_tick_reference`, pinned by
 ``tests/test_sim_equivalence.py``) while idle spans cost events, not
-ticks.  A device whose recorded rows never change gets its series as a
-zero-stride view of its one value.
+ticks.  In every run, a device whose recorded rows of a metric never
+change gets that metric's series as a zero-stride view of its one
+value, and only the devices that move are stored.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ class SimConfig:
 class SimResult:
     """Everything the experiments need from one run.
 
-    The per-device series a run returns are read-only.  A device whose
-    samples never changed over a run with idle spans holds a zero-stride
+    The per-device series a run returns are read-only.  In every run, a
+    device whose samples of a metric never changed holds a zero-stride
     view of its one value (``strides == (0,)``); reductions and
     elementwise ops give the same bits as on a materialized copy, and
     ``tobytes()`` or a pickle materializes it (an unpickled result holds
@@ -169,45 +170,142 @@ class SimResult:
         return np.asarray([p.jct_ms() for p in pods])
 
 
-#: Bytes of one recording block of one metric.  Benchmark-scale runs
-#: fit one block, so a run without spans hands out views of it; a
-#: block's untouched rows cost address space only.
-_BLOCK_BYTES = 64 << 20
+#: Bytes of one metric's staging tile.  Each recorded row is copied
+#: into the tile, which stays in cache; a full tile is folded into the
+#: store of the devices that move.
+_TILE_BYTES = 1 << 20
 
-#: Rows transposed per copy when expanding spans (and compared per
-#: step when looking for devices that never change).  A tile reads one
-#: cache line per row for every eight devices, so 128 rows keep the
-#: lines being read in L1 at any cluster width.  On a 2-vCPU Xeon, one
-#: transpose of 13,000 rows of 512 devices took 49 ms and 128-row
-#: tiles took 13 ms.
+#: Most rows one staging tile holds (16 at 8,192 devices, 128 at up to
+#: 1,024).  A fold transposes the movers' staged rows into the
+#: device-major store, reading one cache line per row for every eight
+#: devices, so 128 rows keep those lines in L1 at any cluster width.
+#: Replaying the rows of seed-0 benchmark runs on a 2-vCPU Xeon, tiles
+#: of 256 KiB to 1 MiB and 64-128 rows recorded fastest; 64 KiB tiles
+#: (more, smaller folds) cost up to 1.6x as much at 8,192 devices.
 _TILE_ROWS = 128
+
+
+class _MetricSeries:
+    """One metric's recorded rows, stored only for devices that move.
+
+    Rows are staged in :attr:`tile` and folded in when it fills.  A
+    device gets a column of :attr:`store` at the first fold in which
+    one of its values differs from the metric's first recorded row, as
+    a bit pattern (so a ``-0.0`` after a ``0.0`` is a change); the
+    column is filled with that first value in every row folded before.
+    Every other device has recorded its first value in every row.
+    The store is device-major, ``(columns, rows)``, and doubles in both
+    dimensions, copying only the filled rows.
+    """
+
+    def __init__(self, devices: int, tile_rows: int) -> None:
+        self.tile = np.empty((tile_rows, devices))
+        #: Read-only copy of the first recorded row (``None`` before it).
+        self.first: np.ndarray | None = None
+        #: device -> column of :attr:`store`, -1 while it holds ``first``.
+        self.slot = np.full(devices, -1, dtype=np.intp)
+        #: column -> device.
+        self.cols = np.empty(0, dtype=np.intp)
+        self.store = np.empty((0, 0))
+
+    def fold(self, k: int, folded: int) -> None:
+        """Fold the first ``k`` staged rows in after ``folded`` stored ones."""
+        if not k:
+            return
+        staged = self.tile[:k]
+        if self.first is None:
+            self.first = staged[0].copy()
+            self.first.flags.writeable = False
+        n = len(self.cols)
+        new = self.cols[:0]
+        if n < len(self.slot):
+            moved = (staged.view(np.int64) != self.first.view(np.int64)).any(axis=0)
+            new = np.flatnonzero(moved & (self.slot < 0))
+        total = n + len(new)
+        if not total:
+            return
+        c_cap, r_cap = self.store.shape
+        if total > c_cap or folded + k > r_cap:
+            store = np.empty((_doubled(c_cap, total), _doubled(r_cap, folded + k)))
+            if n:
+                store[:n, :folded] = self.store[:n, :folded]
+            self.store = store
+        if len(new):
+            self.store[n:total, :folded] = self.first[new, None]
+            self.slot[new] = np.arange(n, total)
+            self.cols = np.concatenate((self.cols, new))
+        self.store[:total, folded:folded + k] = staged[:, self.cols].T
+
+    def device_major(
+        self, rows: int, ticks: int, spans: list[tuple[int, int]]
+    ) -> list[np.ndarray]:
+        """One read-only series per device over ``rows`` folded rows.
+
+        A device without a column gets a zero-stride view of a private
+        copy of its one value; the movers are copied out of the store
+        once, each span row repeated over its ticks.
+        """
+        devices = len(self.slot)
+        if self.first is None:
+            empty = np.empty((devices, 0))
+            empty.flags.writeable = False
+            return list(empty)
+        # One 2-D broadcast: one per device costs ~7 µs each.
+        series = list(np.broadcast_to(self.first[:, None], (devices, ticks)))
+        if len(self.cols):
+            stored = self.store[: len(self.cols), :rows]
+            movers = np.empty((len(self.cols), ticks))
+            row = col = 0
+            for span_row, span_ticks in [*spans, (rows, 0)]:
+                live = span_row - row
+                movers[:, col:col + live] = stored[:, row:span_row]
+                col += live
+                if span_ticks:
+                    movers[:, col:col + span_ticks] = stored[:, span_row, None]
+                    col += span_ticks
+                    row = span_row + 1
+            movers.flags.writeable = False
+            for device, moved in zip(self.cols.tolist(), movers):
+                series[device] = moved
+        return series
+
+
+def _doubled(cap: int, need: int) -> int:
+    """``cap`` doubled until it holds ``need`` (from 1 when empty)."""
+    cap = max(cap, 1)
+    while cap < need:
+        cap *= 2
+    return cap
 
 
 class _DeviceSeries:
     """Every device's per-tick ``sm_util``/``mem_util``, recorded in place.
 
-    Rows are written into ``(block_rows, devices)`` blocks, one pair of
-    blocks per ``block_rows`` recorded rows.  A full block is never
-    copied: the next row opens a new pair.  A fast-forwarded span writes
-    its one (constant) row together with the number of ticks it covers.
-    ``expected_rows`` (the horizon's tick count) caps the block size, so
-    a short run on a small cluster does not hold a whole block.
+    A tick's row is one copy per metric into a small staging tile
+    (:class:`_MetricSeries`); a full tile is folded into a store that
+    holds a column only for devices whose value has moved.  A
+    fast-forwarded span records its one (constant) row together with
+    the number of ticks it covers.  ``tile_rows`` sizes the tiles (at
+    most :data:`_TILE_ROWS` rows and :data:`_TILE_BYTES` per metric by
+    default); tests pass a few rows so that folds fall anywhere.
     """
 
-    def __init__(self, devices: int, expected_rows: float) -> None:
+    def __init__(self, devices: int, tile_rows: int | None = None) -> None:
         self.devices = devices
-        budget = _BLOCK_BYTES // (8 * max(devices, 1))
-        self.block_rows = max(1, int(min(expected_rows, budget)))
-        self._sm_blocks: list[np.ndarray] = []
-        self._mem_blocks: list[np.ndarray] = []
-        self._at = self.block_rows          # next row of the newest block
+        if tile_rows is None:
+            tile_rows = max(1, min(_TILE_ROWS, _TILE_BYTES // (8 * max(devices, 1))))
+        self.tile_rows = tile_rows
+        self._sm = _MetricSeries(devices, tile_rows)
+        self._mem = _MetricSeries(devices, tile_rows)
+        self._folded = 0                    # rows folded into the stores
+        self._staged = 0                    # rows waiting in the tiles
         #: ``(row, ticks)`` of every span row, in row order.
         self._spans: list[tuple[int, int]] = []
 
     @property
     def rows(self) -> int:
         """Rows recorded so far."""
-        return (len(self._sm_blocks) - 1) * self.block_rows + self._at if self._sm_blocks else 0
+        return self._folded + self._staged
 
     @property
     def ticks(self) -> int:
@@ -216,92 +314,47 @@ class _DeviceSeries:
 
     def record(self, sm: np.ndarray, mem: np.ndarray) -> None:
         """One tick's row."""
-        r = self._at
-        if r == self.block_rows:
-            self._sm_blocks.append(np.empty((self.block_rows, self.devices)))
-            self._mem_blocks.append(np.empty((self.block_rows, self.devices)))
-            r = 0
-        self._sm_blocks[-1][r] = sm
-        self._mem_blocks[-1][r] = mem
-        self._at = r + 1
+        r = self._staged
+        self._sm.tile[r] = sm
+        self._mem.tile[r] = mem
+        self._staged = r + 1
+        if r + 1 == self.tile_rows:
+            self._fold()
 
     def record_span(self, sm: np.ndarray, mem: np.ndarray, ticks: int) -> None:
         """One row that holds for ``ticks`` consecutive ticks."""
         self._spans.append((self.rows, ticks))
         self.record(sm, mem)
 
+    def _fold(self) -> None:
+        k = self._staged
+        self._sm.fold(k, self._folded)
+        self._mem.fold(k, self._folded)
+        self._folded += k
+        self._staged = 0
+
     def device_major(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Both metrics' per-device series, one read-only array per device.
 
-        Without spans these are views of the recorded rows, concatenated
-        only when the run filled several blocks.  With spans, a device
-        whose recorded rows never change gets a zero-stride view of its
-        one value, and the others are built once: block transposes for
-        the live stretches and one broadcast fill per span.
+        A device whose recorded rows of a metric never change gets a
+        zero-stride view of its one value; the others are built once.
+        No series shares memory with the tiles or the stores.
         """
-        if self._spans:
-            return self._expand(self._sm_blocks), self._expand(self._mem_blocks)
-        return self._rows_view(self._sm_blocks), self._rows_view(self._mem_blocks)
-
-    def _rows_view(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        if blocks:
-            filled = [*blocks[:-1], blocks[-1][: self._at]]
-            out = (filled[0] if len(filled) == 1 else np.concatenate(filled)).T
-        else:
-            out = np.empty((self.devices, 0))
-        out.flags.writeable = False
-        return list(out)
-
-    def _varying(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """Devices with a recorded row that differs from the first.
-
-        Rows compare as bit patterns, so a ``-0.0`` after a ``0.0``
-        counts as a change.  The scan goes ``_TILE_ROWS`` rows at a
-        time, so its temporaries stay small at any run length.
-        """
-        first = blocks[0][0].view(np.int64)
-        varying = np.zeros(self.devices, dtype=bool)
-        for b, block in enumerate(blocks):
-            stop = min(self.block_rows, self.rows - b * self.block_rows)
-            for r in range(0, stop, _TILE_ROWS):
-                rows = block[r:min(r + _TILE_ROWS, stop)].view(np.int64)
-                varying |= (rows != first).any(axis=0)
-        return varying
-
-    def _expand(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        varying = self._varying(blocks)
-        cols = np.flatnonzero(varying)
-        out = np.empty((len(cols), self.ticks))
-        size = self.block_rows
-        row = col = 0
-        for span_row, ticks in [*self._spans, (self.rows, 0)]:
-            while row < span_row:               # live stretch, tile by tile
-                b, r = divmod(row, size)
-                n = min(span_row - row, size - r, _TILE_ROWS)
-                out[:, col:col + n] = blocks[b][r:r + n, cols].T
-                row += n
-                col += n
-            if ticks:
-                b, r = divmod(row, size)
-                out[:, col:col + ticks] = blocks[b][r, cols][:, None]
-                row += 1
-                col += ticks
-        out.flags.writeable = False
-        expanded = iter(out)
-        first = blocks[0][0]
-        shape = (self.ticks,)
-        return [
-            next(expanded) if varies else np.broadcast_to(first[d], shape)
-            for d, varies in enumerate(varying)
-        ]
+        self._fold()
+        rows, ticks, spans = self._folded, self.ticks, self._spans
+        return (
+            self._sm.device_major(rows, ticks, spans),
+            self._mem.device_major(rows, ticks, spans),
+        )
 
 
 class KubeKnotsSimulator:
     """Event-driven execution of one (cluster, scheduler, workload) run.
 
     Each live tick records every device's ``sm_util``/``mem_util`` row
-    in place (:class:`_DeviceSeries`); an idle fast-forward records one
-    row for its whole span and logs its observable heartbeats with one
+    (:class:`_DeviceSeries`, which stores only devices that move); an
+    idle fast-forward records one row for its whole span and logs its
+    observable heartbeats with one
     :meth:`~repro.core.knots.Knots.heartbeat_span`.
     :meth:`collect_result` expands the spans once, at the end.
     """
@@ -360,7 +413,7 @@ class KubeKnotsSimulator:
         #: (one row per live tick, one per fast-forwarded span).
         self._energy_arr = np.zeros(len(self.state))
         self._times: list[float] = []
-        self._series = _DeviceSeries(len(self.state), self._horizon / self.config.tick_ms + 2)
+        self._series = _DeviceSeries(len(self.state))
         #: Run statistics (populated by :meth:`run`).
         self.events_fired = 0
         self.fast_forwards = 0
@@ -434,10 +487,9 @@ class KubeKnotsSimulator:
 
     def collect_result(self, makespan_ms: float) -> SimResult:
         """Assemble the :class:`SimResult` from the recorded telemetry
-        (shared with the reference driver).  A run without spans gets
-        its per-device series as views of the recorded rows; a run with
-        spans gets them built once, device-major, except that a device
-        whose rows never changed gets a zero-stride view of its value."""
+        (shared with the reference driver).  A device whose recorded
+        rows of a metric never changed gets a zero-stride view of its
+        value; the others' series are built once, device-major."""
         quantum = getattr(self.orchestrator, "quantum", None)
         if quantum is not None:
             # Write array-side progress back to the surviving pod

@@ -210,44 +210,65 @@ class TestEngagement:
         assert sim.orchestrator.quantum.fast_ticks == 0
 
 
+def _checked_compactions(monkeypatch) -> list:
+    """Make every compaction check, right after it, that the phase
+    tables hold one segment per distinct trace of the live slots, in
+    slot order, with each slot's segment equal to its trace's table.
+    Returns the list each compaction appends ``(slots, phases)`` to."""
+    from repro.cluster.quantum import QuantumEngine
+
+    compactions = []
+    compact = QuantumEngine._compact
+
+    def checked(engine):
+        compact(engine)
+        n = engine._n_slots
+        traces = []
+        for s in range(n):
+            trace = engine._pods[s].spec.trace
+            if not any(trace is t for t in traces):
+                traces.append(trace)
+        assert len(engine._trace_refs) == len(traces)
+        assert all(a is b for a, b in zip(engine._trace_refs, traces))
+        assert set(engine._trace_seg) == {id(t) for t in traces}
+        assert engine._trace_len == sum(len(t.demand_table()[0]) for t in traces)
+        for s in range(n):
+            cum, rows = engine._pods[s].spec.trace.demand_table()
+            off, k = int(engine._t_off[s]), int(engine._t_k[s])
+            assert k == len(cum)
+            assert engine._g_cum[off:off + k].tobytes() == cum.tobytes()
+            got = [engine._g_sm, engine._g_mem, engine._g_tx, engine._g_rx]
+            for c, table in enumerate(got):
+                assert table[off:off + k].tobytes() == rows[:, c].tobytes()
+        compactions.append((n, engine._trace_len))
+
+    monkeypatch.setattr(QuantumEngine, "_compact", checked)
+    return compactions
+
+
 class TestPhaseTables:
     def test_compaction_keeps_only_the_live_slots_phases(self, monkeypatch):
         """After every compaction of a dense dark run, the phase tables
-        hold one segment per distinct trace of the live slots, in slot
-        order, with each slot's segment equal to its trace's table."""
-        from repro.cluster.quantum import QuantumEngine
-
-        compactions = []
-        compact = QuantumEngine._compact
-
-        def checked(engine):
-            compact(engine)
-            n = engine._n_slots
-            traces = []
-            for s in range(n):
-                trace = engine._pods[s].spec.trace
-                if not any(trace is t for t in traces):
-                    traces.append(trace)
-            assert len(engine._trace_refs) == len(traces)
-            assert all(a is b for a, b in zip(engine._trace_refs, traces))
-            assert set(engine._trace_seg) == {id(t) for t in traces}
-            assert engine._trace_len == sum(len(t.demand_table()[0]) for t in traces)
-            for s in range(n):
-                cum, rows = engine._pods[s].spec.trace.demand_table()
-                off, k = int(engine._t_off[s]), int(engine._t_k[s])
-                assert k == len(cum)
-                assert engine._g_cum[off:off + k].tobytes() == cum.tobytes()
-                got = [engine._g_sm, engine._g_mem, engine._g_tx, engine._g_rx]
-                for c, table in enumerate(got):
-                    assert table[off:off + k].tobytes() == rows[:, c].tobytes()
-            compactions.append((n, engine._trace_len))
-
-        monkeypatch.setattr(QuantumEngine, "_compact", checked)
+        hold only the live slots' segments."""
+        compactions = _checked_compactions(monkeypatch)
         sim = _build(sched_name="cbp", load=8.0)
         sim.orchestrator.quantum.min_batch = 0
         sim.run()
         assert len(compactions) >= 3
         assert sim.orchestrator.quantum.fast_ticks > 0
+
+    def test_a_run_on_the_legacy_route_compacts_too(self, monkeypatch):
+        """A dark run whose every tick takes the legacy step still drops
+        dead slots and traces, with the same table check."""
+        compactions = _checked_compactions(monkeypatch)
+        sim = _build(sched_name="cbp", load=8.0)
+        engine = sim.orchestrator.quantum
+        engine.min_batch = 1 << 30
+        result = sim.run()
+        assert len(result.pods) >= 128
+        assert engine.fast_ticks == 0
+        assert compactions
+        assert len(engine._trace_refs) < len({id(p.spec.trace) for p in result.pods})
 
 
 # -- property tests: batched kernels vs scalar references -----------------
