@@ -109,9 +109,15 @@ class AdmissionQueue:
             return batch
 
     def close(self) -> None:
-        """Refuse new offers; queued items stay takeable.  Idempotent."""
-        with self._lock:
-            self._closed = True
+        """Refuse new offers; queued items stay takeable.  Idempotent.
+
+        It only sets a flag, without the lock, so a signal handler may
+        call it on a thread that holds the lock (``take_all``).
+        :meth:`offer` reads the flag under the lock: an offer that takes
+        the lock after ``close`` returns is refused, and one that held
+        it before queued its item for the drain.
+        """
+        self._closed = True
 
     def _retry_after_locked(self) -> float:
         """Seconds until roughly half the queue should have drained —

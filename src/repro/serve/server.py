@@ -23,9 +23,12 @@ Threading model (three threads, one hand-off point):
 Shutdown: :meth:`KnotsService.request_stop` (wired to SIGINT) closes
 the queue, unpaces the loop and lets the tick chain drain — every
 accepted request is submitted and given a bounded window to receive a
-placement decision before the loop stops.  A second request hard-stops
-the engine (`EventLoop.stop` is idempotent and thread-safe for exactly
-this path).
+placement decision before the loop stops.  A second request stops the
+loop at the end of the current tick, without the drain.  The request
+only sets flags that the queue, the pacer and the tick chain poll: a
+SIGINT handler runs it on the service thread, which may be inside the
+queue's or the pacer's lock when the signal lands, so it must take no
+lock.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import os
 import signal
 import sys
 import threading
@@ -176,8 +180,9 @@ class WallClockPacer:
         self._wake.set()
 
     def unpace(self) -> None:
+        """Run flat out from now on.  Takes no lock (a signal handler
+        calls it): a sleeping call sees the flag within 0.5 s."""
         self._fast = True
-        self._wake.set()
 
     def lag_s(self, sim_now_ms: float) -> float:
         """How far wall clock is ahead of the sim (>0 = sim lagging)."""
@@ -263,7 +268,10 @@ class KnotsService:
         self._horizon_ms = None if cfg.duration_s is None else cfg.duration_s * 1_000.0
         #: pod uid -> (wall accept time, sim submit time) awaiting a bind.
         self._undecided: dict[str, tuple[float, float]] = {}
-        self._stop_event = threading.Event()
+        # Set by request_stop (any thread, or a signal handler); polled
+        # by the tick chain.
+        self._stop_requested = False
+        self._hard_stop = False
         self._draining = False
         self._drain_deadline = math.inf
         self.events_fired = 0
@@ -310,12 +318,20 @@ class KnotsService:
     # -- lifecycle ------------------------------------------------------------
 
     def request_stop(self) -> None:
-        """Begin a graceful drain (idempotent, any thread / signal
-        handler).  A second call hard-stops the engine."""
-        if self._stop_event.is_set():
-            self.loop.stop()
+        """Begin a graceful drain (idempotent, any thread or a signal
+        handler).  A second call stops the loop at the end of the
+        current tick, without the drain.
+
+        It takes no lock, only sets flags: a SIGINT handler runs it on
+        the service thread, which may hold the queue's lock (``take_all``)
+        or the pacer's when the signal lands.  The queue refuses offers
+        at once; the tick chain begins the drain, or stops, at its next
+        tick, which a paced wait reaches within 0.5 s.
+        """
+        if self._stop_requested:
+            self._hard_stop = True
             return
-        self._stop_event.set()
+        self._stop_requested = True
         self.queue.close()
         if self.pacer is not None:
             self.pacer.unpace()
@@ -363,9 +379,12 @@ class KnotsService:
         self._check_termination(now)
 
     def _check_termination(self, now: float) -> None:
+        if self._hard_stop:
+            self.loop.stop()
+            return
         if not self._draining:
             horizon_hit = self._horizon_ms is not None and now >= self._horizon_ms
-            if horizon_hit or self._stop_event.is_set():
+            if horizon_hit or self._stop_requested:
                 self._begin_drain(now)
             return
         if now >= self._drain_deadline or (
@@ -762,8 +781,11 @@ def run_serve(
     on_main = threading.current_thread() is threading.main_thread()
     if on_main:
         def _on_sigint(_signum: int, _frame: Any) -> None:
-            print("[serve] SIGINT: draining (^C again to force stop)",
-                  file=sys.stderr, flush=True)
+            # The handler interrupts the service thread wherever it is,
+            # perhaps inside a lock or a write to stderr, so it takes no
+            # lock: a raw write instead of print, and request_stop only
+            # sets flags.
+            os.write(2, b"[serve] SIGINT: draining (^C again to force stop)\n")
             service.request_stop()
 
         previous_handler = signal.signal(signal.SIGINT, _on_sigint)

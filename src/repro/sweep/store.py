@@ -3,7 +3,7 @@
 Keys are ``sha256`` digests of everything that decides a result:
 
 * a **schema tag** (bump :data:`SCHEMA_TAG` when the serialized result
-  layout changes),
+  layout changes; v2: workload traces pickle as their phase columns),
 * the **code fingerprint** — ``repro.__version__``, so a release that
   changes simulation behaviour invalidates every cached run,
 * the task's **type name and repr** — the full parameter set, since
@@ -34,7 +34,7 @@ from pathlib import Path
 
 __all__ = ["SCHEMA_TAG", "DEFAULT_CACHE_DIR", "ResultStore", "task_key"]
 
-SCHEMA_TAG = "kube-knots/sweep-result/v1"
+SCHEMA_TAG = "kube-knots/sweep-result/v2"
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 

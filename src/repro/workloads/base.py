@@ -2,9 +2,17 @@
 
 Every application in the reproduction — Rodinia batch kernels, Djinn &
 Tonic inference queries, synthetic Alibaba containers — is described by
-a :class:`WorkloadTrace`: a sequence of :class:`Phase` segments, each
-demanding a level of the four GPU resources the paper's Knots monitor
-samples (SM occupancy, device memory, PCIe transmit/receive bandwidth).
+a :class:`WorkloadTrace`: a sequence of phases, each demanding a level
+of the four GPU resources the paper's Knots monitor samples (SM
+occupancy, device memory, PCIe transmit/receive bandwidth).
+
+A trace stores its phases as read-only columns built once, not as one
+object per phase: a Rodinia trace at scale has a hundred phases or
+more, and a 1024-node cluster's workload has about a hundred thousand.
+:class:`Phase` and :class:`ResourceDemand` stay the vocabulary at the
+edges: a phase list is one way to build a trace,
+:meth:`~WorkloadTrace.demand_at` returns a :class:`ResourceDemand`, and
+:attr:`~WorkloadTrace.phases` rebuilds the phase list.
 
 Demand is indexed by *progress* (milliseconds of work completed), not
 wall-clock time: when the SM is contended the kubelet grants a pod only
@@ -17,9 +25,9 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,6 +72,16 @@ class ResourceDemand:
         )
 
 
+def _check_phase(duration_ms: float, sm: float, mem_mb: float) -> None:
+    """The checks every phase passes, whichever way its trace is built."""
+    if duration_ms <= 0:
+        raise ValueError(f"phase duration must be positive, got {duration_ms}")
+    if not (0.0 <= sm <= 1.0):
+        raise ValueError(f"SM demand must be in [0, 1], got {sm}")
+    if mem_mb < 0:
+        raise ValueError("memory demand must be non-negative")
+
+
 @dataclass(frozen=True)
 class Phase:
     """One execution phase with constant resource demand."""
@@ -72,12 +90,7 @@ class Phase:
     demand: ResourceDemand
 
     def __post_init__(self) -> None:
-        if self.duration_ms <= 0:
-            raise ValueError(f"phase duration must be positive, got {self.duration_ms}")
-        if not (0.0 <= self.demand.sm <= 1.0):
-            raise ValueError(f"SM demand must be in [0, 1], got {self.demand.sm}")
-        if self.demand.mem_mb < 0:
-            raise ValueError("memory demand must be non-negative")
+        _check_phase(self.duration_ms, self.demand.sm, self.demand.mem_mb)
 
 
 class WorkloadTrace:
@@ -95,6 +108,13 @@ class WorkloadTrace:
         Memory the *user* requests for the container.  Applications
         overstate their needs (Observation 2); defaults to the peak of
         the trace if not given.
+
+    The phases are stored as three read-only columns: the cumulative
+    phase ends (an ``array('d')``, which ``bisect`` searches without a
+    NumPy call per lookup), the durations, and a ``(phases, 4)`` demand
+    matrix whose columns are ``sm, mem_mb, tx_mbps, rx_mbps``.  The
+    constructor converts a phase list once; :meth:`from_columns` takes
+    the columns themselves.  Both run the :class:`Phase` checks.
     """
 
     def __init__(
@@ -106,22 +126,86 @@ class WorkloadTrace:
     ) -> None:
         if not phases:
             raise ValueError("a workload needs at least one phase")
+        self._set_columns(
+            name,
+            [p.duration_ms for p in phases],
+            [(p.demand.sm, p.demand.mem_mb, p.demand.tx_mbps, p.demand.rx_mbps) for p in phases],
+            qos_class,
+            requested_mem_mb,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        name: str,
+        durations: Sequence[float] | np.ndarray,
+        demands: Sequence[Sequence[float]] | np.ndarray,
+        qos_class: QoSClass = QoSClass.BATCH,
+        requested_mem_mb: float | None = None,
+    ) -> "WorkloadTrace":
+        """A trace from its phase columns: one duration per phase and a
+        ``(phases, 4)`` matrix of ``sm, mem_mb, tx_mbps, rx_mbps`` rows.
+        Both are copied; a bad phase raises the :class:`Phase` error."""
+        trace = cls.__new__(cls)
+        trace._set_columns(name, durations, demands, qos_class, requested_mem_mb)
+        return trace
+
+    def _set_columns(
+        self,
+        name: str,
+        durations: Sequence[float] | np.ndarray,
+        demands: Sequence[Sequence[float]] | np.ndarray,
+        qos_class: QoSClass,
+        requested_mem_mb: float | None,
+    ) -> None:
+        durations = np.array(durations, dtype=float)
+        demands = np.array(demands, dtype=float)
+        if durations.size == 0:
+            raise ValueError("a workload needs at least one phase")
+        if durations.ndim != 1 or demands.shape != (len(durations), 4):
+            raise ValueError(
+                f"need one duration and one (sm, mem_mb, tx_mbps, rx_mbps) row per phase, "
+                f"got durations {durations.shape} and demands {demands.shape}"
+            )
+        # Reductions first; any failure or NaN falls to the per-phase
+        # checks, which raise what building the first bad Phase would.
+        sm = demands[:, 0]
+        if not (
+            durations.min() > 0.0
+            and sm.min() >= 0.0
+            and sm.max() <= 1.0
+            and demands[:, 1].min() >= 0.0
+        ):
+            for d, (s, m) in zip(durations.tolist(), demands[:, :2].tolist()):
+                _check_phase(d, s, m)
+        durations.flags.writeable = False
+        demands.flags.writeable = False
         self.name = name
-        self.phases: tuple[Phase, ...] = tuple(phases)
         self.qos_class = qos_class
-        # Cumulative end-times of phases, for O(log n) progress lookup:
-        # a compact double array that ``bisect`` searches without a
-        # numpy call per lookup.
-        self._ends = array("d", np.cumsum([p.duration_ms for p in self.phases]).tolist())
-        # Lazily-compiled phase table for the array-native execution
-        # quantum (see :meth:`demand_table`).
-        self._table: tuple[np.ndarray, np.ndarray] | None = None
-        # Lazily-computed peaks: the trace is immutable, and schedulers
-        # ask for them per pending pod per pass.
+        self._durations = durations
+        self._demands = demands
+        self._ends = array("d", np.cumsum(durations).tobytes())
+        # The ends again as a NumPy view, for demand_table's readers.
+        cum = np.frombuffer(self._ends)
+        cum.flags.writeable = False
+        self._cum = cum
+        # Phase index -> the ResourceDemand demand_at returns for it,
+        # built on the first lookup of that phase.
+        self._memo: dict[int, ResourceDemand] = {}
+        # Lazily-computed peaks: schedulers ask for them per pending pod
+        # per pass.
         self._peak_mem: float | None = None
         self._peak_sm: float | None = None
         self.requested_mem_mb = (
             float(requested_mem_mb) if requested_mem_mb is not None else self.peak_mem_mb()
+        )
+
+    def __reduce__(self):
+        # Only the columns travel; the loaded trace is checked and
+        # frozen like a new one, and rebuilds its memo and peaks.
+        return (
+            type(self).from_columns,
+            (self.name, self._durations, self._demands, self.qos_class, self.requested_mem_mb),
         )
 
     # -- basic properties -------------------------------------------------
@@ -131,37 +215,48 @@ class WorkloadTrace:
         """Total work in the trace, in milliseconds of uncontended execution."""
         return self._ends[-1]
 
+    @property
+    def phases(self) -> tuple[Phase, ...]:
+        """The phase list, rebuilt from the columns on every read (for
+        tests and tools; nothing on a hot path reads it).  Each phase's
+        demand is the object :meth:`demand_at` returns inside it."""
+        return tuple(
+            Phase(d, self._phase_demand(i)) for i, d in enumerate(self._durations.tolist())
+        )
+
     def demand_at(self, progress_ms: float) -> ResourceDemand:
-        """Demand after ``progress_ms`` of work has been completed."""
+        """Demand after ``progress_ms`` of work has been completed.
+
+        A phase's :class:`ResourceDemand` is built on its first lookup
+        and memoized, so a repeat lookup returns the same object
+        (``GPU.arbitrate``'s memo matches on it).
+        """
         if progress_ms < 0:
             raise ValueError("progress cannot be negative")
         ends = self._ends
-        if progress_ms >= ends[-1]:
-            return self.phases[-1].demand
-        return self.phases[bisect.bisect_right(ends, progress_ms)].demand
+        i = bisect.bisect_right(ends, progress_ms) if progress_ms < ends[-1] else len(ends) - 1
+        demand = self._memo.get(i)
+        if demand is None:
+            demand = self._phase_demand(i)
+        return demand
+
+    def _phase_demand(self, i: int) -> ResourceDemand:
+        demand = self._memo.get(i)
+        if demand is None:
+            demand = self._memo[i] = ResourceDemand(*self._demands[i].tolist())
+        return demand
 
     def demand_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Compile the trace into arrays for batched progress lookups.
+        """The trace's columns for batched progress lookups.
 
         Returns ``(cum_ends, rows)``: ``cum_ends`` is the float64
         cumulative phase end-times (``cum_ends[-1] == total_ms``) and
-        ``rows`` is a ``(num_phases, 4)`` float64 matrix whose columns
+        ``rows`` is the ``(num_phases, 4)`` float64 matrix whose columns
         are ``sm, mem_mb, tx_mbps, rx_mbps`` — the exact values
         :meth:`demand_at` returns for a progress inside each phase.
-        Compiled once and cached; the arrays are shared, do not mutate.
+        Both are the trace's own read-only arrays.
         """
-        table = self._table
-        if table is None:
-            cum = np.frombuffer(self._ends)
-            rows = np.array(
-                [
-                    (p.demand.sm, p.demand.mem_mb, p.demand.tx_mbps, p.demand.rx_mbps)
-                    for p in self.phases
-                ],
-                dtype=float,
-            )
-            self._table = table = (cum, rows)
-        return table
+        return self._cum, self._demands
 
     # -- summary statistics used by the schedulers ------------------------
 
@@ -169,13 +264,13 @@ class WorkloadTrace:
         """Worst-case device memory across the trace."""
         peak = self._peak_mem
         if peak is None:
-            peak = self._peak_mem = max(p.demand.mem_mb for p in self.phases)
+            peak = self._peak_mem = float(self._demands[:, 1].max())
         return peak
 
     def peak_sm(self) -> float:
         peak = self._peak_sm
         if peak is None:
-            peak = self._peak_sm = max(p.demand.sm for p in self.phases)
+            peak = self._peak_sm = float(self._demands[:, 0].max())
         return peak
 
     def mem_percentile(self, q: float) -> float:
@@ -184,27 +279,23 @@ class WorkloadTrace:
         CBP resizes containers to the 80th percentile of this
         distribution (``q=80``) rather than the peak.
         """
-        return self._weighted_percentile([p.demand.mem_mb for p in self.phases], q)
+        return self._weighted_percentile(self._demands[:, 1], q)
 
     def sm_percentile(self, q: float) -> float:
-        return self._weighted_percentile([p.demand.sm for p in self.phases], q)
+        return self._weighted_percentile(self._demands[:, 0], q)
 
-    def _weighted_percentile(self, values: Iterable[float], q: float) -> float:
+    def _weighted_percentile(self, values: np.ndarray, q: float) -> float:
         if not (0.0 <= q <= 100.0):
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-        vals = np.asarray(list(values), dtype=float)
-        weights = np.asarray([p.duration_ms for p in self.phases], dtype=float)
-        order = np.argsort(vals)
-        vals, weights = vals[order], weights[order]
+        order = np.argsort(values)
+        vals, weights = values[order], self._durations[order]
         cdf = np.cumsum(weights) / weights.sum()
         idx = int(np.searchsorted(cdf, q / 100.0, side="left"))
         return float(vals[min(idx, len(vals) - 1)])
 
     def mean_mem_mb(self) -> float:
         """Duration-weighted mean memory footprint."""
-        mems = np.asarray([p.demand.mem_mb for p in self.phases])
-        weights = np.asarray([p.duration_ms for p in self.phases])
-        return float(np.average(mems, weights=weights))
+        return float(np.average(self._demands[:, 1], weights=self._durations))
 
     # -- sampled series (for correlation analysis) ------------------------
 
@@ -231,7 +322,7 @@ class WorkloadTrace:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"WorkloadTrace({self.name!r}, {len(self.phases)} phases, "
+            f"WorkloadTrace({self.name!r}, {len(self._ends)} phases, "
             f"{self.total_ms:.0f} ms, peak {self.peak_mem_mb():.0f} MB, "
             f"{self.qos_class.value})"
         )

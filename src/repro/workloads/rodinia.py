@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workloads.base import Phase, QoSClass, ResourceDemand, WorkloadTrace
+from repro.workloads.base import QoSClass, WorkloadTrace
 
 __all__ = ["RodiniaProfile", "RODINIA_PROFILES", "RODINIA_SUITE_ORDER", "make_rodinia_trace", "suite_timeline"]
 
@@ -116,12 +116,9 @@ def make_rodinia_trace(
     steady_mem = jitter(p.steady_mem_mb, 0.10) * mem_scale
     peak_mem = max(jitter(p.peak_mem_mb, 0.10) * mem_scale, steady_mem * 1.5)
 
-    phases: list[Phase] = []
     # -- load phase: input transfer dominates, compute near-idle ----------
     load_ms = max(total_ms * 0.08, 0.5)
-    phases.append(
-        Phase(load_ms, ResourceDemand(sm=0.03, mem_mb=steady_mem * 0.5, tx_mbps=10.0, rx_mbps=jitter(p.load_rx_mbps, 0.10)))
-    )
+    load = (0.03, steady_mem * 0.5, 10.0, jitter(p.load_rx_mbps, 0.10))
     # -- compute iterations: steady body with a bandwidth-led peak --------
     body_ms = total_ms * 0.86
     iter_ms = max(jitter(p.iter_ms, 0.10), 1.0)
@@ -132,28 +129,31 @@ def make_rodinia_trace(
     peak_ms_per_iter = max(total_ms * p.peak_fraction / n_iters, 0.2)
     prelude_ms = max(peak_ms_per_iter * 0.5, 0.1)
     steady_ms = max(iter_ms - peak_ms_per_iter - prelude_ms, 0.2)
-    for _ in range(n_iters):
-        phases.append(
-            Phase(steady_ms, ResourceDemand(sm=steady_sm, mem_mb=steady_mem, tx_mbps=5.0, rx_mbps=8.0))
-        )
-        phases.append(
-            Phase(
-                prelude_ms,
-                ResourceDemand(sm=steady_sm, mem_mb=steady_mem, tx_mbps=5.0, rx_mbps=jitter(p.load_rx_mbps * 0.6, 0.15)),
-            )
-        )
-        phases.append(
-            Phase(peak_ms_per_iter, ResourceDemand(sm=peak_sm, mem_mb=peak_mem, tx_mbps=20.0, rx_mbps=30.0))
-        )
+    # One jitter draw per prelude, in iteration order: the stream a draw
+    # per iteration would take.
+    prelude_rx = (p.load_rx_mbps * 0.6) * rng.uniform(1.0 - 0.15, 1.0 + 0.15, n_iters)
     # -- write-back phase --------------------------------------------------
     store_ms = max(total_ms * 0.06, 0.3)
-    phases.append(
-        Phase(store_ms, ResourceDemand(sm=0.02, mem_mb=steady_mem * 0.4, tx_mbps=jitter(p.store_tx_mbps, 0.10), rx_mbps=5.0))
-    )
+    store = (0.02, steady_mem * 0.4, jitter(p.store_tx_mbps, 0.10), 5.0)
 
-    return WorkloadTrace(
-        name=name,
-        phases=phases,
+    # The phase columns: load, then steady/prelude/peak per iteration,
+    # then store.
+    durations = np.empty(3 * n_iters + 2)
+    demands = np.empty((3 * n_iters + 2, 4))
+    durations[0], demands[0] = load_ms, load
+    durations[1:-1].reshape(n_iters, 3)[:] = (steady_ms, prelude_ms, peak_ms_per_iter)
+    body = demands[1:-1].reshape(n_iters, 3, 4)
+    body[:] = (
+        (steady_sm, steady_mem, 5.0, 8.0),
+        (steady_sm, steady_mem, 5.0, 0.0),  # rx: the prelude draws, below
+        (peak_sm, peak_mem, 20.0, 30.0),
+    )
+    body[:, 1, 3] = prelude_rx
+    durations[-1], demands[-1] = store_ms, store
+    return WorkloadTrace.from_columns(
+        name,
+        durations,
+        demands,
         qos_class=QoSClass.BATCH,
         requested_mem_mb=min(peak_mem * requested_headroom, 16_384.0),
     )

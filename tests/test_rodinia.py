@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.workloads.base import QoSClass
 from repro.workloads.rodinia import (
@@ -12,6 +13,7 @@ from repro.workloads.rodinia import (
     make_rodinia_trace,
     suite_timeline,
 )
+from tests.rodinia_oracle import oracle_rodinia_phases, oracle_rodinia_trace
 
 
 class TestProfiles:
@@ -69,6 +71,53 @@ class TestTraceGeneration:
         trace = make_rodinia_trace("leukocyte", rng)
         rx = [p.demand.rx_mbps for p in trace.phases]
         assert max(rx) > 1_000.0
+
+
+class TestColumnBuilderMatchesOracle:
+    """The column builder against the per-iteration builder it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        app=st.sampled_from(sorted(RODINIA_PROFILES)),
+        scale=st.one_of(st.sampled_from([1.0, 10.0, 40.0]), st.floats(0.01, 60.0)),
+        mem_scale=st.one_of(st.sampled_from([1.0, 3.0]), st.floats(0.1, 8.0)),
+        headroom=st.floats(0.3, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_columns_and_stream_equal_the_oracle(self, app, scale, mem_scale, headroom, seed):
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        trace = make_rodinia_trace(
+            app, rng_new, scale=scale, requested_headroom=headroom, mem_scale=mem_scale
+        )
+        phases, requested = oracle_rodinia_phases(
+            app, rng_old, scale=scale, requested_headroom=headroom, mem_scale=mem_scale
+        )
+        cum, rows = trace.demand_table()
+        durations = np.array([p.duration_ms for p in phases])
+        demands = np.array(
+            [(p.demand.sm, p.demand.mem_mb, p.demand.tx_mbps, p.demand.rx_mbps) for p in phases]
+        )
+        assert [p.duration_ms for p in trace.phases] == durations.tolist()
+        assert rows.tobytes() == demands.tobytes()
+        assert cum.tobytes() == np.cumsum(durations).tobytes()
+        assert trace.total_ms == float(np.cumsum(durations)[-1])
+        assert trace.requested_mem_mb == requested
+        # The same draws, in the same order: the generators agree after.
+        assert rng_new.random() == rng_old.random()
+
+    def test_every_query_equals_the_oracle_trace(self):
+        for app in RODINIA_PROFILES:
+            trace = make_rodinia_trace(app, np.random.default_rng(11), scale=5.0, mem_scale=2.0)
+            oracle = oracle_rodinia_trace(app, np.random.default_rng(11), scale=5.0, mem_scale=2.0)
+            assert trace.phases == oracle.phases
+            assert trace.peak_mem_mb() == oracle.peak_mem_mb()
+            assert trace.peak_sm() == oracle.peak_sm()
+            assert trace.mean_mem_mb() == oracle.mean_mem_mb()
+            for q in (50.0, 80.0, 95.0):
+                assert trace.mem_percentile(q) == oracle.mem_percentile(q)
+                assert trace.sm_percentile(q) == oracle.sm_percentile(q)
+            a, b = trace.sample_series(1.0), oracle.sample_series(1.0)
+            assert all(a[k].tobytes() == b[k].tobytes() for k in a)
 
 
 class TestSuiteTimeline:

@@ -522,6 +522,31 @@ def test_cli_serve_drains_cleanly_on_sigint(tmp_path):
     assert "dropped" in out.replace("\n", " ")
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+@pytest.mark.parametrize("mode", ["queue", "pacer"])
+def test_sigint_inside_a_held_lock_still_stops(mode):
+    # The SIGINT handler runs on the service thread wherever the signal
+    # lands.  `queue`: inside the admission queue's lock, and the session
+    # must still drain.  `pacer`: the drain cannot finish, and a second
+    # SIGINT inside the pacer's wake-event lock must still stop the run.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tests.serve_sigint_child", mode],
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"serve hung in its SIGINT handler ({mode})")
+    assert proc.returncode == 0, f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
+    counts = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert counts["submitted"] == counts["accepted"]
+    assert counts["dropped"] == 0
+    assert counts["undecided"] == (1 if mode == "pacer" else 0)
+    assert proc.stderr.count("draining") == (2 if mode == "pacer" else 1)
+
+
 def test_cli_serve_unpaced_smoke(capsys):
     from repro.cli import main
 

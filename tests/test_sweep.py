@@ -122,6 +122,29 @@ class TestStore:
         store._path(key).write_bytes(pickle.dumps(payload))
         assert store.get(key) is None
 
+    def test_stored_result_keeps_column_traces(self, tmp_path):
+        # A cached result carries its pods' traces.  Loaded from disk,
+        # each trace answers from its phase columns, and they stay
+        # read-only.
+        store = ResultStore(tmp_path)
+        (fresh,) = run_tasks(TASKS[:1], jobs=1, store=store, memo=False)
+        (loaded,) = run_tasks(TASKS[:1], jobs=1, store=store, memo=False)
+        assert last_stats()["hits"] == 1
+        assert loaded is not fresh and len(loaded.pods) == len(fresh.pods) > 0
+        for a, b in zip(fresh.pods, loaded.pods):
+            ta, tb = a.spec.trace, b.spec.trace
+            assert tb is not ta
+            for progress in (0.0, ta.total_ms / 3.0, ta.total_ms, ta.total_ms * 2.0):
+                assert tb.demand_at(progress) == ta.demand_at(progress)
+            (cum_a, rows_a), (cum_b, rows_b) = ta.demand_table(), tb.demand_table()
+            assert cum_b.tobytes() == cum_a.tobytes()
+            assert rows_b.tobytes() == rows_a.tobytes()
+            assert not cum_b.flags.writeable and not rows_b.flags.writeable
+            assert tb.peak_mem_mb() == ta.peak_mem_mb()
+            assert tb.requested_mem_mb == ta.requested_mem_mb
+            series_a, series_b = ta.sample_series(10.0), tb.sample_series(10.0)
+            assert all(series_b[k].tobytes() == series_a[k].tobytes() for k in series_a)
+
     def test_env_var_redirects_default_store(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert ResultStore().root == tmp_path / "cache"

@@ -173,3 +173,130 @@ class TestSampling:
         trace = WorkloadTrace("t", phases_from([(10, 0.5, 1)]))
         with pytest.raises(ValueError):
             trace.sample_series(0.0)
+
+
+def _phase_spec():
+    return st.lists(
+        st.tuples(
+            st.floats(min_value=1e-3, max_value=1e4),
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=0.0, max_value=20_000.0),
+            st.floats(min_value=0.0, max_value=5_000.0),
+            st.floats(min_value=0.0, max_value=5_000.0),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+
+
+def _list_percentile(phases, values, q):
+    """The duration-weighted percentile over Python lists, as a trace
+    computed it when it kept one object per phase."""
+    vals = np.asarray(list(values), dtype=float)
+    weights = np.asarray([p.duration_ms for p in phases], dtype=float)
+    order = np.argsort(vals)
+    vals, weights = vals[order], weights[order]
+    cdf = np.cumsum(weights) / weights.sum()
+    idx = int(np.searchsorted(cdf, q / 100.0, side="left"))
+    return float(vals[min(idx, len(vals) - 1)])
+
+
+class TestColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=_phase_spec(), requested=st.one_of(st.none(), st.floats(0.0, 1e5)))
+    def test_phase_list_and_columns_answer_alike(self, spec, requested):
+        phases = [Phase(d, ResourceDemand(s, m, tx, rx)) for d, s, m, tx, rx in spec]
+        listed = WorkloadTrace("t", phases, requested_mem_mb=requested)
+        columns = WorkloadTrace.from_columns(
+            "t", [row[0] for row in spec], [row[1:] for row in spec], requested_mem_mb=requested
+        )
+        for trace in (listed, columns):
+            assert trace.phases == tuple(phases)
+            assert trace.total_ms == float(np.cumsum([p.duration_ms for p in phases])[-1])
+            assert trace.peak_mem_mb() == max(p.demand.mem_mb for p in phases)
+            assert trace.peak_sm() == max(p.demand.sm for p in phases)
+            assert trace.requested_mem_mb == (
+                max(p.demand.mem_mb for p in phases) if requested is None else requested
+            )
+            for q in (0.0, 25.0, 50.0, 80.0, 95.0, 100.0):
+                assert trace.mem_percentile(q) == _list_percentile(
+                    phases, (p.demand.mem_mb for p in phases), q
+                )
+                assert trace.sm_percentile(q) == _list_percentile(
+                    phases, (p.demand.sm for p in phases), q
+                )
+            assert trace.mean_mem_mb() == float(np.average(
+                np.asarray([p.demand.mem_mb for p in phases]),
+                weights=np.asarray([p.duration_ms for p in phases]),
+            ))
+        (cum_l, rows_l), (cum_c, rows_c) = listed.demand_table(), columns.demand_table()
+        assert cum_l.tobytes() == cum_c.tobytes()
+        assert rows_l.tobytes() == rows_c.tobytes()
+        probes = [0.0, listed.total_ms, listed.total_ms + 1.0, *cum_l.tolist()]
+        for p in probes:
+            assert listed.demand_at(p) == columns.demand_at(p)
+        step = max(listed.total_ms / 20.0, 1e-3)
+        a, b = listed.sample_series(step), columns.sample_series(step)
+        assert all(a[k].tobytes() == b[k].tobytes() for k in a)
+
+    def test_demand_at_returns_the_same_object_on_repeat(self):
+        trace = WorkloadTrace("t", phases_from([(10, 0.1, 100), (20, 0.5, 500)]))
+        first = trace.demand_at(3.0)
+        assert trace.demand_at(7.5) is first
+        assert trace.demand_at(12.0) is trace.demand_at(29.0) is trace.demand_at(99.0)
+        assert trace.demand_at(12.0) is not first
+        assert trace.phases[0].demand is first
+
+    def test_columns_are_read_only(self):
+        trace = WorkloadTrace.from_columns("t", [10.0, 20.0], [(0.1, 100, 0, 0), (0.5, 500, 0, 0)])
+        cum, rows = trace.demand_table()
+        for column in (cum, rows):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        assert trace.demand_table()[0] is cum and trace.demand_table()[1] is rows
+
+    def test_columns_are_copied(self):
+        durations = np.array([10.0, 20.0])
+        demands = np.array([(0.1, 100.0, 0.0, 0.0), (0.5, 500.0, 0.0, 0.0)])
+        trace = WorkloadTrace.from_columns("t", durations, demands)
+        durations[0], demands[0, 1] = 99.0, 9_999.0
+        assert trace.total_ms == 30.0 and trace.peak_mem_mb() == 500.0
+
+    @pytest.mark.parametrize(
+        "durations, demands, message",
+        [
+            ([10.0, 0.0], [(0.1, 1, 0, 0), (0.1, 1, 0, 0)], "phase duration must be positive, got 0.0"),
+            ([10.0, -2.0], [(0.1, 1, 0, 0), (0.1, 1, 0, 0)], "phase duration must be positive, got -2.0"),
+            ([10.0, 5.0], [(0.1, 1, 0, 0), (1.5, 1, 0, 0)], r"SM demand must be in \[0, 1\], got 1.5"),
+            ([10.0], [(float("nan"), 1, 0, 0)], r"SM demand must be in \[0, 1\], got nan"),
+            ([10.0], [(0.1, -5, 0, 0)], "memory demand must be non-negative"),
+            # The first bad phase decides, checked in Phase's order.
+            ([10.0, 0.0], [(2.0, 1, 0, 0), (0.1, -1, 0, 0)], r"SM demand must be in \[0, 1\], got 2.0"),
+        ],
+    )
+    def test_bad_columns_raise_the_phase_errors(self, durations, demands, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WorkloadTrace.from_columns("t", durations, demands)
+        # The same error building the first bad Phase raises.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            [Phase(d, ResourceDemand(*row)) for d, row in zip(durations, demands)]
+
+    def test_column_shapes_are_checked(self):
+        with pytest.raises(ValueError, match="at least one phase"):
+            WorkloadTrace.from_columns("t", [], np.empty((0, 4)))
+        with pytest.raises(ValueError, match="one duration and one"):
+            WorkloadTrace.from_columns("t", [1.0, 2.0], [(0.1, 1, 0, 0)])
+        with pytest.raises(ValueError, match="one duration and one"):
+            WorkloadTrace.from_columns("t", [1.0], [(0.1, 1, 0)])
+
+    def test_pickle_round_trip_keeps_read_only_columns(self):
+        import pickle
+
+        trace = WorkloadTrace("t", phases_from([(10, 0.1, 100), (20, 0.5, 500)]), requested_mem_mb=321)
+        trace.demand_at(5.0)
+        loaded = pickle.loads(pickle.dumps(trace))
+        assert loaded.phases == trace.phases
+        assert loaded.requested_mem_mb == 321 and loaded.qos_class is trace.qos_class
+        assert not any(c.flags.writeable for c in loaded.demand_table())
+        assert pickle.dumps(loaded) == pickle.dumps(trace)
