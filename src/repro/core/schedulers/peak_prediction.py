@@ -99,7 +99,7 @@ class PeakPredictionScheduler(CBPScheduler):
             free = cs.mem_capacity_mb[sleep_idx] - cs.alloc_mb[sleep_idx]
             order = np.lexsort((cs.id_rank[sleep_idx], -free))
             sleep_idx = sleep_idx[order]
-        sleeping = [int(i) for i in sleep_idx]
+        sleeping = sleep_idx.tolist()
 
         gpu_ids = cs.gpu_ids
         queue_depth = len(ctx.pending)

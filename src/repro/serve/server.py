@@ -758,9 +758,6 @@ def run_serve(
         service = KnotsService(config)
     front = FrontDoor(service, config.host, config.port) if config.http else None
     generator: LoadGenerator | None = None
-    if front is not None:
-        front.start()
-        print(f"[serve] listening on {front.address}", file=sys.stderr, flush=True)
     if config.qps > 0:
         if config.duration_s is None:
             raise ValueError("an in-process load generator needs --duration")
@@ -788,17 +785,24 @@ def run_serve(
             os.write(2, b"[serve] SIGINT: draining (^C again to force stop)\n")
             service.request_stop()
 
+        # Installed before the port is announced: a client that has read
+        # it may send SIGINT at once.
         previous_handler = signal.signal(signal.SIGINT, _on_sigint)
     try:
-        if generator is not None:
-            generator.start()
-        report = service.run()
-    finally:
-        if generator is not None:
-            generator.stop()
-            generator.join(timeout=5.0)
         if front is not None:
-            front.stop()
+            front.start()
+            print(f"[serve] listening on {front.address}", file=sys.stderr, flush=True)
+        try:
+            if generator is not None:
+                generator.start()
+            report = service.run()
+        finally:
+            if generator is not None:
+                generator.stop()
+                generator.join(timeout=5.0)
+            if front is not None:
+                front.stop()
+    finally:
         if on_main and previous_handler is not None:
             signal.signal(signal.SIGINT, previous_handler)
     if generator is not None:

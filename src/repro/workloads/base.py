@@ -73,12 +73,15 @@ class ResourceDemand:
 
 
 def _check_phase(duration_ms: float, sm: float, mem_mb: float) -> None:
-    """The checks every phase passes, whichever way its trace is built."""
-    if duration_ms <= 0:
+    """The checks every phase passes, whichever way its trace is built.
+
+    Each rejects NaN.
+    """
+    if not duration_ms > 0:
         raise ValueError(f"phase duration must be positive, got {duration_ms}")
     if not (0.0 <= sm <= 1.0):
         raise ValueError(f"SM demand must be in [0, 1], got {sm}")
-    if mem_mb < 0:
+    if not mem_mb >= 0:
         raise ValueError("memory demand must be non-negative")
 
 
@@ -299,20 +302,26 @@ class WorkloadTrace:
 
     # -- sampled series (for correlation analysis) ------------------------
 
+    def sample_phases(self, step_ms: float = 100.0) -> np.ndarray:
+        """The phase index of each sample at a fixed cadence: for sample
+        ``i`` the row of ``demand_table()[1]`` that :meth:`demand_at`
+        returns at ``i * step_ms``."""
+        if step_ms <= 0:
+            raise ValueError("step must be positive")
+        times = np.arange(0.0, self.total_ms, step_ms)
+        # demand_at's lookup, batched.  Searching the ends of every phase
+        # but the last, a time at or past the end reads the final phase,
+        # as demand_at does.
+        return np.searchsorted(self._cum[:-1], times, side="right")
+
     def sample_series(self, step_ms: float = 100.0) -> dict[str, np.ndarray]:
         """Sample the trace at a fixed cadence.
 
         Returns a dict of equal-length arrays keyed ``sm``, ``mem_mb``,
-        ``tx_mbps``, ``rx_mbps``.  Used by CBP to build correlation
-        profiles for an application class.
+        ``tx_mbps``, ``rx_mbps``.
         """
-        if step_ms <= 0:
-            raise ValueError("step must be positive")
-        times = np.arange(0.0, self.total_ms, step_ms)
-        cum, rows = self.demand_table()
-        # demand_at's lookup, batched; a time at or past the end reads the
-        # final phase, as demand_at does.
-        idx = np.minimum(np.searchsorted(cum, times, side="right"), len(cum) - 1)
+        idx = self.sample_phases(step_ms)
+        rows = self._demands
         return {
             "sm": rows[idx, 0],
             "mem_mb": rows[idx, 1],

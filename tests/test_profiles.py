@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.profiles import PROFILE_SERIES_POINTS, ImageProfile, ProfileStore
+from repro.core import profiles
+from repro.core.profiles import (
+    PROFILE_SERIES_POINTS,
+    ImageProfile,
+    ProfileStore,
+    percentile_linear,
+)
 from repro.forecast.correlation import rank_with_ties
 from repro.workloads.base import Phase, ResourceDemand, WorkloadTrace
 from tests.conftest import make_trace
@@ -203,9 +209,9 @@ class TestStatisticsCache:
         profile = ImageProfile("img")
         profile.update(make_trace().sample_series(5.0))
         calls = []
-        real = np.percentile
+        real = profiles.percentile_linear
         monkeypatch.setattr(
-            np, "percentile", lambda *a, **k: calls.append(1) or real(*a, **k)
+            profiles, "percentile_linear", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
         for _ in range(5):
             profile.sm_p75()
@@ -221,6 +227,90 @@ class TestStatisticsCache:
             profile.mem_percentile(80)
         with pytest.raises(ValueError):
             profile.pressure_stats()
+
+    def test_peaks_stay_aligned_with_samples_across_eviction(self):
+        profile = ImageProfile("img")
+        for i in range(40):
+            mem = 1_000.0 + 500.0 * ((i * 7) % 11)
+            profile.update(_trace([(10.0, 0.5, mem), (5.0, 0.2, mem / 2)]).sample_series(1.0))
+            assert len(profile._mem_peaks) == len(profile._mem_samples) == min(i + 1, 32)
+            assert profile._mem_peaks == [float(s.max()) for s in profile._mem_samples]
+            assert profile.peak_mem_mb() == max(float(s.max()) for s in profile._mem_samples)
+
+
+# -- the order statistic against np.percentile ---------------------------------
+
+QUANTILES = [0, 50, 75, 80, 99.9, 100]
+
+magnitudes = st.sampled_from([1e-3, 1.0, 1e3])
+spread = st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=400)
+# Signed zeros compare equal, so which one lands at an order statistic
+# depends on the partition: the helper partitions where NumPy does.
+tie_heavy = st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.5, 7.0, 1e3]), min_size=1, max_size=400)
+
+
+def _assert_same_bits(values: np.ndarray, q: float) -> None:
+    with np.errstate(invalid="ignore"):       # inf - inf in NumPy's lerp
+        want = np.float64(np.percentile(values, q))
+    got = np.float64(percentile_linear(values.copy(), q))
+    assert got.tobytes() == want.tobytes(), (values, q, got, want)
+
+
+class TestPercentileLinear:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        values=spread | tie_heavy,
+        scale=magnitudes,
+        q=st.sampled_from(QUANTILES) | st.floats(min_value=0.0, max_value=100.0),
+    )
+    def test_equals_np_percentile_bit_for_bit(self, values, scale, q):
+        _assert_same_bits(np.array(values) * scale, q)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 399, 400])
+    def test_every_length_edge(self, n):
+        values = np.random.default_rng(n).uniform(0.0, 1e3, n)
+        for q in QUANTILES:
+            _assert_same_bits(values, q)
+
+    def test_signed_zeros_and_infinity_follow_numpy(self):
+        # A WorkloadTrace accepts -0.0 and inf memory demands.  The
+        # five-zero case reads +0.0 only if the partition also places the
+        # first and last positions, as NumPy's does.
+        for values in (
+            [-0.0], [-0.0, -0.0], [0.0, -0.0, 1.0], [-0.0, -0.0, -0.0, 0.0, -0.0],
+            [1.0, np.inf], [np.inf],
+        ):
+            for q in QUANTILES:
+                _assert_same_bits(np.array(values), q)
+
+    def test_reorders_its_argument_in_place(self):
+        arr = np.array([5.0, 1.0, 4.0, 2.0, 3.0])
+        assert percentile_linear(arr, 50) == 3.0
+        assert arr[2] == 3.0 and sorted(arr) == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("q", [-0.1, 100.5, float("nan")])
+    def test_rejects_a_percentile_outside_0_to_100(self, q):
+        with pytest.raises(ValueError):
+            percentile_linear(np.array([1.0, 2.0]), q)
+
+
+class TestRecordTrace:
+    @settings(max_examples=40, deadline=None)
+    @given(runs=st.lists(phase_lists, min_size=1, max_size=6))
+    def test_two_column_record_equals_update_from_sample_series(self, runs):
+        store, want = ProfileStore(), ImageProfile("img")
+        for phases in runs:
+            trace = _trace(phases)
+            store.record_trace("img", trace, step_ms=10.0)
+            want.update(trace.sample_series(10.0), runtime_ms=trace.total_ms)
+        got = store.get("img")
+        np.testing.assert_array_equal(got.mem_series, want.mem_series)
+        np.testing.assert_array_equal(got.sm_series, want.sm_series)
+        assert got.mean_runtime_ms == want.mean_runtime_ms
+        for a, b in zip(got._mem_samples, want._mem_samples, strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert got._mem_peaks == want._mem_peaks
+        _assert_same(_cached(got), _fresh(want))
 
 
 # -- sample_series against the per-sample demand_at loop ------------------------

@@ -3,9 +3,12 @@ the Knots service and the HTTP front door (e2e smoke)."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import os
+import random
+import re
 import signal
 import subprocess
 import sys
@@ -545,6 +548,96 @@ def test_sigint_inside_a_held_lock_still_stops(mode):
     assert counts["dropped"] == 0
     assert counts["undecided"] == (1 if mode == "pacer" else 0)
     assert proc.stderr.count("draining") == (2 if mode == "pacer" else 1)
+
+
+def _post_until_closed(url: str, codes: list[int], hangs: list[int]) -> None:
+    """POST pods back to back until the front door goes away.
+
+    A POST that times out is a hang; one refused or cut off means the
+    server has closed its front door and ends the loop.
+    """
+    for seed in range(100_000):
+        try:
+            status, _, _ = _post(url, {"image": "djinn/face", "seed": seed}, timeout=5.0)
+        except TimeoutError:
+            hangs.append(seed)
+            return
+        except urllib.error.URLError as err:
+            if isinstance(err.reason, TimeoutError):
+                hangs.append(seed)
+            return
+        except (http.client.HTTPException, ConnectionError):
+            return
+        codes.append(status)
+
+
+def _report_counts(stdout: str) -> dict[str, int]:
+    """The CLI table's two count rows as one dict."""
+    counts = {}
+    for line in stdout.splitlines():
+        for row, names in (
+            ("offered / accepted / rejected", ("offered", "accepted", "rejected")),
+            ("submitted / placed / dropped", ("submitted", "placed", "dropped")),
+        ):
+            if line.startswith(row):
+                values = line[len(row):].split("/")
+                counts.update(zip(names, (int(v) for v in values)))
+    return counts
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+def test_sigint_at_random_points_under_http_load():
+    # One session per delay: the front door is on, a client thread POSTs
+    # pods back to back, and SIGINT lands a seeded random time after the
+    # server announces its port (at the smallest delays, before the
+    # service has ticked).  Every session must drain and exit 0, answer
+    # every POST it took, and place every pod it accepted.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src"
+    rng = random.Random(25)
+    delays = [0.0] + sorted(rng.uniform(0.05, 1.2) for _ in range(3))
+    for delay in delays:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--qps", "0", "--duration", "0", "--port", "0", "--status-interval", "0",
+             "--nodes", "2", "--gpus-per-node", "2"],
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            env=env, stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            line = proc.stderr.readline()
+            match = re.search(r"listening on (http://[^\s]+)", line)
+            assert match is not None, f"no port announced: {line!r}"
+            codes: list[int] = []
+            hangs: list[int] = []
+            client = threading.Thread(
+                target=_post_until_closed, args=(f"{match.group(1)}/v1/pods", codes, hangs),
+                daemon=True,
+            )
+            client.start()
+            time.sleep(delay)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            pytest.fail(f"serve hung after SIGINT at {delay:.3f} s")
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        client.join(timeout=10.0)
+        assert not client.is_alive(), f"a POST hung (SIGINT at {delay:.3f} s)"
+        assert not hangs, f"POST {hangs} timed out (SIGINT at {delay:.3f} s)"
+        assert proc.returncode == 0, f"SIGINT at {delay:.3f} s\nstdout:\n{out}\nstderr:\n{err}"
+        assert set(codes) <= {202, 429, 503}, codes
+        counts = _report_counts(out)
+        assert counts["dropped"] == 0
+        assert counts["accepted"] == counts["submitted"] == counts["placed"], counts
+        # The queue closes on SIGINT and the front door outlives the
+        # drain, so every accepted POST got its 202.
+        assert counts["accepted"] == codes.count(202), (counts, len(codes))
 
 
 def test_cli_serve_unpaced_smoke(capsys):

@@ -273,6 +273,9 @@ class TestColumns:
             ([10.0], [(0.1, -5, 0, 0)], "memory demand must be non-negative"),
             # The first bad phase decides, checked in Phase's order.
             ([10.0, 0.0], [(2.0, 1, 0, 0), (0.1, -1, 0, 0)], r"SM demand must be in \[0, 1\], got 2.0"),
+            # NaN fails every check, so none reaches a profile's statistics.
+            ([10.0, float("nan")], [(0.1, 1, 0, 0), (0.1, 1, 0, 0)], "phase duration must be positive, got nan"),
+            ([10.0], [(0.1, float("nan"), 0, 0)], "memory demand must be non-negative"),
         ],
     )
     def test_bad_columns_raise_the_phase_errors(self, durations, demands, message):
