@@ -446,6 +446,7 @@ class QuantumEngine:
                 state.rx_mbps[wd] = rx
                 state.sample_containers[wd] = counts_t[write_t]
                 state.sample_dirty.update(wd.tolist())
+                state.sample_gen += 1
                 self._stale[wd] = True
 
             # 7. Advance progress for pods on untouched devices.
@@ -521,10 +522,14 @@ class QuantumEngine:
         Equivalent to a per-slot ``searchsorted(cum, p, side="right")``
         (the exact ``demand_at`` semantics including the terminal
         clamp), but implemented as a vectorized advance from each
-        slot's cached phase index: progress never runs backwards, and
-        a crossing almost always lands in the very next phase, so the
-        loop usually does one pass over the batch instead of one
-        scalar bisect per slot.
+        slot's cached phase index (progress never runs backwards): one
+        pass over the batch per phase the furthest slot crosses,
+        instead of one scalar bisect per slot.  Phases are short
+        against a tick, so that is several passes: at seed 0 the median
+        phase of ``harvest_1024``'s and ``churn_gang_256``'s traces is
+        0.6 ms against a 10 ms tick, a refreshed slot crosses 3.0 and
+        3.5 phases per tick, and a call advances 6.4 and 7.7 times (one
+        more mask finds nothing to advance).
         """
         offs = self._t_off[slots]
         last = self._t_k[slots] - 1

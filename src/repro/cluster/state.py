@@ -48,6 +48,25 @@ Each mutation also bumps a per-node *epoch* counter, which is what lets
 the orchestrator skip quiescent kubelets and schedulers reuse cached
 candidate state without re-walking idle nodes.
 
+**Change counters.**  Two monotone integers say whether anything moved
+since a consumer last looked, under the same write-through contract:
+
+* ``epoch_gen`` moves with every ``node_epoch`` bump
+  (:meth:`~ClusterState.sync_alloc`, :meth:`~ClusterState.sync_flags`,
+  :meth:`~ClusterState.sync_cordon`), so it also covers ``alloc_mb``,
+  ``num_containers``, ``asleep``, ``failed`` and ``cordoned``.  Epochs
+  only grow, so two reads of ``node_epoch`` are equal exactly when
+  ``epoch_gen`` is.
+* ``sample_gen`` moves with every sample write that changes a column
+  value (``sm_util``, ``mem_used_mb``, ``mem_util``, ``power_w``,
+  ``tx_mbps``, ``rx_mbps``, ``sample_containers``):
+  :meth:`~ClusterState.sync_sample` bumps it when one of them differs
+  and the vectorized quantum once per tick on which it writes rows.
+
+The orchestrator's due set and idle-pass checks and the simulator's
+power vector keep their last result while the counters they read hold.
+A column written without its bump would make them reuse a stale result.
+
 **Pod-major companion.**  The vectorized execution quantum
 (:mod:`repro.cluster.quantum`) keeps a second, pod-major set of arrays
 (progress, demand row, device row, reservation) under the same
@@ -83,8 +102,8 @@ class ClusterState:
         "alloc_mb", "num_containers", "asleep", "failed", "cordoned",
         "sm_util", "mem_used_mb", "mem_util", "power_w",
         "tx_mbps", "rx_mbps", "sample_containers",
-        "sample_dirty",
-        "node_epoch",
+        "sample_dirty", "sample_gen",
+        "node_epoch", "epoch_gen",
     )
 
     def __init__(self, nodes: Sequence["GpuNode"]) -> None:
@@ -142,8 +161,14 @@ class ClusterState:
         #: another value: :meth:`sync_sample` skips a rewrite of equal
         #: values, so a steady busy device costs the ring nothing.
         self.sample_dirty: set[int] = set()
+        #: Sample writes that changed a column value, ``mem_util`` and
+        #: ``sample_containers`` included (see "Change counters" above).
+        self.sample_gen = 0
 
         self.node_epoch = np.zeros(len(nodes), dtype=np.int64)
+        #: Node-epoch bumps, on every node: equal across two reads
+        #: exactly when ``node_epoch`` is.
+        self.epoch_gen = 0
 
         for i, gpu in enumerate(gpus):
             gpu.bind_state(self, i)
@@ -169,36 +194,46 @@ class ClusterState:
         self.alloc_mb[i] = sum(c.alloc_mb for c in containers.values())
         self.num_containers[i] = len(containers)
         self.node_epoch[self.node_of[i]] += 1
+        self.epoch_gen += 1
 
     def sync_flags(self, i: int, asleep: bool, failed: bool) -> None:
         self.asleep[i] = asleep
         self.failed[i] = failed
         self.node_epoch[self.node_of[i]] += 1
+        self.epoch_gen += 1
 
     def sync_cordon(self, i: int, cordoned: bool) -> None:
         """Mirror the cordon flag (a scheduling-relevant transition)."""
         self.cordoned[i] = cordoned
         self.node_epoch[self.node_of[i]] += 1
+        self.epoch_gen += 1
 
     def sync_sample(self, i: int, sample: "GpuSample") -> None:
         """Mirror ``gpu.last_sample`` (no epoch bump: samples are outputs,
         not scheduling-relevant state transitions).
 
-        Every column is written; the row joins ``sample_dirty`` only when
-        one of the telemetry ring's five inputs differs from the mirror
-        (``mem_util`` is derived from ``mem_used_mb``).  That is exact:
-        no sample field is ever -0.0, since every sum starts at 0, and a
-        NaN compares unequal, so it always marks the row.
+        Every column is written.  The row joins ``sample_dirty`` only
+        when one of the telemetry ring's five inputs differs from the
+        mirror (``mem_util`` is derived from ``mem_used_mb``), and
+        ``sample_gen`` moves only when one of the seven columns does.
+        That is exact: no sample field is ever -0.0, since every sum
+        starts at 0, and a NaN compares unequal, so it always counts as
+        a change.
         """
-        dirty = self.sample_dirty
-        if i not in dirty and (
+        if (
             self.sm_util[i] != sample.sm_util
             or self.mem_used_mb[i] != sample.mem_used_mb
             or self.power_w[i] != sample.power_w
             or self.tx_mbps[i] != sample.tx_mbps
             or self.rx_mbps[i] != sample.rx_mbps
         ):
-            dirty.add(i)
+            self.sample_dirty.add(i)
+            self.sample_gen += 1
+        elif (
+            self.mem_util[i] != sample.mem_util
+            or self.sample_containers[i] != sample.num_containers
+        ):
+            self.sample_gen += 1
         self.sm_util[i] = sample.sm_util
         self.mem_used_mb[i] = sample.mem_used_mb
         self.mem_util[i] = sample.mem_util

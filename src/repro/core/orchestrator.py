@@ -73,11 +73,21 @@ class KubeKnots:
         self._node_starts = np.array(
             [start for start, _ in cluster.state.node_slices], dtype=np.intp
         )
-        #: Node epochs after the last executed pass when that pass had
-        #: nothing pending and returned no actions, else ``None``: while
-        #: they still match and nothing is pending, a pass would repeat
-        #: that no-op (see :meth:`_repeats_noop`).
-        self._noop_epochs: np.ndarray | None = None
+        #: ``state.epoch_gen`` after the last executed pass when that
+        #: pass had nothing pending and returned no actions, else
+        #: ``None``: while it still matches and nothing is pending, a
+        #: pass would repeat that no-op (see :meth:`_repeats_noop`).
+        self._noop_gen: int | None = None
+        #: ``state.epoch_gen`` when every node epoch was last seen by a
+        #: step (``node_epoch == _epoch_seen``), -1 before the first.
+        self._seen_gen = -1
+        #: The last due set, kept while it stays the due set: every node
+        #: in it is at ``quiet_until == -inf``, no epoch moved since
+        #: ``_seen_gen`` and ``now`` is before ``_due_until``, the
+        #: earliest finite quiet horizon (:meth:`_note_step`).  ``None``
+        #: when the next tick must run the full-width mask.
+        self._due_idx: np.ndarray | None = None
+        self._due_until = -np.inf
         #: Vectorized execution quantum: advances all hosting nodes'
         #: pods in one array pass per tick, dropping rare events (OOM,
         #: completion, failure) back through ``Kubelet.step_device``.
@@ -206,12 +216,7 @@ class KubeKnots:
         the policy's answer ``[]`` again: with nothing pending it may
         read only epoch-tracked cluster state.
         """
-        idle = self._noop_epochs
-        return (
-            idle is not None
-            and not self.api.num_pending()
-            and np.array_equal(self.cluster.state.node_epoch, idle)
-        )
+        return self._noop_gen == self.cluster.state.epoch_gen and not self.api.num_pending()
 
     def idle_until(self) -> float:
         """The earliest time a kubelet step or a scheduling pass could
@@ -230,14 +235,12 @@ class KubeKnots:
         state = self.cluster.state
         if self.obs.sanitizer is not None:
             return float(np.inf if np.all(state.asleep | state.failed) else -np.inf)
-        if not self._repeats_noop() or not np.array_equal(state.node_epoch, self._epoch_seen):
+        if not self._repeats_noop() or state.epoch_gen != self._seen_gen:
             return float("-inf")
         return float(self._quiet_until.min(initial=np.inf))
 
     def _note_pass(self, ctx: SchedulingContext, actions: list[Action]) -> None:
-        self._noop_epochs = (
-            None if ctx.pending or actions else self.cluster.state.node_epoch.copy()
-        )
+        self._noop_gen = None if ctx.pending or actions else self.cluster.state.epoch_gen
 
     def _apply(self, action: Action, now: float) -> None:
         if isinstance(action, Bind):
@@ -286,10 +289,10 @@ class KubeKnots:
             self._record_completions()
             self._prev_tick_now = now
             return
-        due = (state.node_epoch != self._epoch_seen) | (self._quiet_until <= now)
-        if due.any():
+        due_idx = self._due_nodes(now)
+        if len(due_idx):
+            stepped_gen = state.epoch_gen
             prev = self._prev_tick_now
-            due_idx = np.nonzero(due)[0]
             if self.quantum is not None:
                 victims = self.quantum.step_due(now, dt_ms, prev, due_idx)
             else:
@@ -301,10 +304,55 @@ class KubeKnots:
                     victims.extend(kubelet.step(now, dt_ms, prev))
                     self._quiet_until[i] = kubelet.quiet_horizon(now, dt_ms)
                     self._epoch_seen[i] = epochs[i]
+            self._note_step(due_idx, stepped_gen)
             if victims:
                 self._co_evict_gangs(victims, now)
             self._record_completions()
+        else:
+            self._note_step(due_idx, state.epoch_gen)
         self._prev_tick_now = now
+
+    def _due_nodes(self, now: float) -> np.ndarray:
+        """The nodes to step at ``now``, ascending: every node whose
+        epoch moved since its last step or whose quiet horizon passed.
+
+        The full-width mask runs only when the last due set may have
+        changed; see ``_due_idx`` and :meth:`_note_step`.
+        """
+        if (
+            self._due_idx is not None
+            and self.cluster.state.epoch_gen == self._seen_gen
+            and now < self._due_until
+        ):
+            return self._due_idx
+        self._due_idx = None
+        state = self.cluster.state
+        return np.flatnonzero((state.node_epoch != self._epoch_seen) | (self._quiet_until <= now))
+
+    def _note_step(self, due_idx: np.ndarray, stepped_gen: int) -> None:
+        """After stepping ``due_idx`` (entered at ``epoch_gen ==
+        stepped_gen``): every epoch is seen, and the set is kept for the
+        next tick if it stays due.
+
+        A step sees its own node's bumps, and a node whose epoch moved
+        was due, so ``node_epoch == _epoch_seen`` now.  A fresh set is
+        kept when every node in it left its step at ``quiet_until ==
+        -inf`` (it hosts pods), until the earliest finite horizon.  A
+        kept set entered that way, and only a bump (an attach, a detach,
+        a flag) changes whether a node hosts pods, so it stays kept
+        while its step bumped no epoch.
+        """
+        state = self.cluster.state
+        quiet_until = self._quiet_until
+        if self._due_idx is not None:
+            if state.epoch_gen != stepped_gen:
+                self._due_idx = None
+        elif not len(due_idx) or quiet_until[due_idx].max() == -np.inf:
+            self._due_idx = due_idx
+            self._due_until = float(
+                quiet_until.min(where=quiet_until > -np.inf, initial=np.inf)
+            )
+        self._seen_gen = state.epoch_gen
 
     def _co_evict_gangs(self, victims: list, now: float) -> None:
         """When a gang member dies, evict its still-hosted siblings.

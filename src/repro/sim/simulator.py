@@ -412,6 +412,12 @@ class KubeKnotsSimulator:
         #: per-device energy, the sample times, and the sm/mem series
         #: (one row per live tick, one per fast-forwarded span).
         self._energy_arr = np.zeros(len(self.state))
+        #: :meth:`_device_power` at the ``(sample_gen, epoch_gen)`` in
+        #: ``_power_gens``, and its energy increment over ``_inc_dt``.
+        self._power: np.ndarray | None = None
+        self._energy_inc: np.ndarray | None = None
+        self._power_gens: tuple[int, int] | None = None
+        self._inc_dt: float | None = None
         self._times: list[float] = []
         self._series = _DeviceSeries(len(self.state))
         #: Run statistics (populated by :meth:`run`).
@@ -661,7 +667,7 @@ class KubeKnotsSimulator:
         # ``inc * skipped``) so floats match the tick loop bit for bit.
         if tail:
             self.orchestrator.knots.heartbeat_span(tail)
-        inc = self._device_power() * ms_to_s(tick)
+        inc = self._energy_increment(tick)
         for _ in range(skipped):
             self._energy_arr += inc
         if skipped:
@@ -696,22 +702,45 @@ class KubeKnotsSimulator:
     def _device_power(self) -> np.ndarray:
         """Each device's draw over the coming tick: its sample's power,
         or the sleep wattage for an empty sleeping device (its last
-        arbitration already saw the sleep flag)."""
+        arbitration already saw the sleep flag).
+
+        Read-only, and kept while ``ClusterState.sample_gen`` and
+        ``epoch_gen`` hold: it reads two sample columns (``power_w``,
+        ``sample_containers``) and ``asleep``, whose writes bump an
+        epoch, so recomputing it would give the same bits.
+        """
         state = self.state
-        return np.where(
-            (state.sample_containers > 0) | ~state.asleep,
-            state.power_w,
-            state.sleep_watts,
-        )
+        gens = (state.sample_gen, state.epoch_gen)
+        if gens != self._power_gens:
+            power = np.where(
+                (state.sample_containers > 0) | ~state.asleep,
+                state.power_w,
+                state.sleep_watts,
+            )
+            power.flags.writeable = False
+            self._power = power
+            self._power_gens = gens
+            self._inc_dt = None
+        return self._power
+
+    def _energy_increment(self, dt_ms: float) -> np.ndarray:
+        """Each device's energy over a ``dt_ms`` tick, ``power * dt``,
+        kept with the power it was computed from (read-only)."""
+        power = self._device_power()
+        if dt_ms != self._inc_dt:
+            inc = power * ms_to_s(dt_ms)
+            inc.flags.writeable = False
+            self._energy_inc = inc
+            self._inc_dt = dt_ms
+        return self._energy_inc
 
     def _record(self, t: float, dt_ms: float) -> None:
         self._times.append(t)
         state = self.state
-        power = self._device_power()
-        self._energy_arr += power * ms_to_s(dt_ms)
+        self._energy_arr += self._energy_increment(dt_ms)
         self._series.record(state.sm_util, state.mem_util)
         tracer = self.obs.tracer
-        n = len(power)
+        n = len(state)
         if tracer.enabled and n:
             # Counter tracks render as stacked area charts in Perfetto.
             # ``cumsum`` adds in device order, like a running total.
@@ -723,6 +752,7 @@ class KubeKnotsSimulator:
                 },
                 ts=t,
             )
+            power = self._device_power()
             tracer.counter("cluster_power_w", {"total": float(np.cumsum(power)[-1])}, ts=t)
             tracer.counter(
                 "pending_pods", {"count": float(self.orchestrator.api.num_pending())}, ts=t

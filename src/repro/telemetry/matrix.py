@@ -80,6 +80,22 @@ _FIRST_COLUMNS = 256
 #: Row of each metric in ``_cur_row`` and the block.
 _METRIC_ROW = {m: k for k, m in enumerate(METRICS)}
 
+#: Most moved devices a heartbeat requantizes one at a time, in Python
+#: floats; more take the vectorized branches.  On a 2-vCPU Xeon the
+#: vectorized sparse branch's ~15 NumPy calls cost about 20 us however
+#: few devices moved, and this branch about 2 us a device, so they
+#: cross near nine.  Most heartbeats move fewer: at seed 0, 2,757 of
+#: the 2,765 ``paper_pp_32`` heartbeats that move a device move one or
+#: two, and 718 of ``idle_sparse_64``'s 719 move one.
+_FEW_MOVERS = 8
+
+
+def _floor(x: float) -> float:
+    """``np.floor`` of one float: ``//`` keeps a zero's sign and rounds
+    toward -inf, and an infinity or NaN (which ``//`` turns into NaN)
+    is its own floor."""
+    return x // 1.0 if x - x == 0.0 else x
+
 
 class MatrixTelemetry(_Ring):
     """Shared telemetry ring over every GPU of a cluster."""
@@ -186,16 +202,25 @@ class MatrixTelemetry(_Ring):
         Each expression mirrors :class:`~repro.telemetry.nvml.NvmlSampler`'s
         NVML round trip exactly: percent scaling for utilizations,
         truncation to bytes/milliwatts (``np.floor`` == ``int()`` for
-        non-negative values), KB/s PCIe.
+        non-negative values), KB/s PCIe.  After the first append a
+        non-dirty device's mirror is unchanged since the previous one,
+        so its quantized value in the hot row is still exact and only
+        the dirty devices are requantized: one at a time in Python
+        floats for at most :data:`_FEW_MOVERS` of them, over an index
+        vector while they are under an eighth of the cluster, else all
+        at once.  The three give the same bits.
         """
         s = self.state
         n = len(s.gpu_ids)
-        cur = self._cur
         dirty = s.sample_dirty
-        idx = None
-        if self.version > 0 and dirty:
-            # The first append logs every device's first value; after
-            # it, a device that moves needs a column before the hot row
+        if self.version == 0:
+            # The first append logs every device's first value.
+            self._requantize_all()
+        elif len(dirty) <= _FEW_MOVERS:
+            if dirty:
+                self._requantize_few(dirty)
+        else:
+            # A device that moves needs a column before the hot row
             # forgets the value it held.
             idx = np.fromiter(dirty, dtype=np.intp, count=len(dirty))
             if self.ncols < n:
@@ -203,13 +228,8 @@ class MatrixTelemetry(_Ring):
                 if len(new):
                     new.sort()
                     self._add_columns(new)
-        if self.version > 0 and len(dirty) * 8 < n:
-            # Sparse heartbeat: a non-dirty device's mirror is unchanged
-            # since the previous append, so its quantized value in the
-            # hot ``_cur`` row is still exact — requantize only the
-            # devices whose samples moved (the same elementwise IEEE
-            # ops, over the dirty index vector).
-            if idx is not None:
+            if len(dirty) * 8 < n:
+                cur = self._cur
                 cur["sm_util"][idx] = (s.sm_util[idx] * 100.0) / 100.0
                 cur["mem_util"][idx] = (
                     np.floor(s.mem_used_mb[idx] * 1048576.0) / s.cap_total_bytes[idx]
@@ -217,28 +237,56 @@ class MatrixTelemetry(_Ring):
                 cur["power_w"][idx] = np.floor(s.power_w[idx] * 1000.0) / 1000.0
                 cur["tx_mbps"][idx] = (s.tx_mbps[idx] * 1024.0) / 1024.0
                 cur["rx_mbps"][idx] = (s.rx_mbps[idx] * 1024.0) / 1024.0
-        else:
-            # Full requantization into the hot row: the same elementwise
-            # IEEE ops as the scalar NVML round trip, without 64 KB
-            # temporaries per metric at the 8k-GPU scale.
-            r = cur["sm_util"]
-            np.multiply(s.sm_util, 100.0, out=r)
-            r /= 100.0
-            r = cur["mem_util"]
-            np.multiply(s.mem_used_mb, 1048576.0, out=r)
-            np.floor(r, out=r)
-            r /= s.cap_total_bytes
-            r = cur["power_w"]
-            np.multiply(s.power_w, 1000.0, out=r)
-            np.floor(r, out=r)
-            r /= 1000.0
-            r = cur["tx_mbps"]
-            np.multiply(s.tx_mbps, 1024.0, out=r)
-            r /= 1024.0
-            r = cur["rx_mbps"]
-            np.multiply(s.rx_mbps, 1024.0, out=r)
-            r /= 1024.0
+            else:
+                self._requantize_all()
         dirty.clear()
+
+    def _requantize_few(self, movers: set[int]) -> None:
+        """Requantize the devices ``movers`` one at a time: the
+        vectorized expressions on Python floats, which round alike.  The
+        capacity stays a NumPy scalar, so dividing by a zero one gives
+        what the vectorized branches give."""
+        s = self.state
+        slot = self.slot
+        if self.ncols < len(slot):
+            new = [i for i in movers if slot.item(i) < 0]
+            if new:
+                new.sort()
+                self._add_columns(np.array(new, dtype=np.intp))
+        cur = self._cur
+        sm, mem, power = cur["sm_util"], cur["mem_util"], cur["power_w"]
+        tx, rx = cur["tx_mbps"], cur["rx_mbps"]
+        cap = s.cap_total_bytes
+        for i in movers:
+            sm[i] = (s.sm_util.item(i) * 100.0) / 100.0
+            mem[i] = _floor(s.mem_used_mb.item(i) * 1048576.0) / cap[i]
+            power[i] = _floor(s.power_w.item(i) * 1000.0) / 1000.0
+            tx[i] = (s.tx_mbps.item(i) * 1024.0) / 1024.0
+            rx[i] = (s.rx_mbps.item(i) * 1024.0) / 1024.0
+
+    def _requantize_all(self) -> None:
+        """Requantize every device into the hot row: the same
+        elementwise IEEE ops as the scalar NVML round trip, without
+        64 KB temporaries per metric at the 8k-GPU scale."""
+        s = self.state
+        cur = self._cur
+        r = cur["sm_util"]
+        np.multiply(s.sm_util, 100.0, out=r)
+        r /= 100.0
+        r = cur["mem_util"]
+        np.multiply(s.mem_used_mb, 1048576.0, out=r)
+        np.floor(r, out=r)
+        r /= s.cap_total_bytes
+        r = cur["power_w"]
+        np.multiply(s.power_w, 1000.0, out=r)
+        np.floor(r, out=r)
+        r /= 1000.0
+        r = cur["tx_mbps"]
+        np.multiply(s.tx_mbps, 1024.0, out=r)
+        r /= 1024.0
+        r = cur["rx_mbps"]
+        np.multiply(s.rx_mbps, 1024.0, out=r)
+        r /= 1024.0
 
     def _add_columns(self, new: np.ndarray) -> None:
         """Give the devices ``new`` (sorted, none holding a column) a

@@ -24,6 +24,7 @@ simulator without any per-application special-casing.
 from __future__ import annotations
 
 import bisect
+import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -75,14 +76,18 @@ class ResourceDemand:
 def _check_phase(duration_ms: float, sm: float, mem_mb: float) -> None:
     """The checks every phase passes, whichever way its trace is built.
 
-    Each rejects NaN.
+    Each rejects NaN, and the duration and memory demand must be finite.
     """
     if not duration_ms > 0:
         raise ValueError(f"phase duration must be positive, got {duration_ms}")
+    if duration_ms == math.inf:
+        raise ValueError(f"phase duration must be finite, got {duration_ms}")
     if not (0.0 <= sm <= 1.0):
         raise ValueError(f"SM demand must be in [0, 1], got {sm}")
     if not mem_mb >= 0:
         raise ValueError("memory demand must be non-negative")
+    if mem_mb == math.inf:
+        raise ValueError("memory demand must be finite")
 
 
 @dataclass(frozen=True)
@@ -170,14 +175,21 @@ class WorkloadTrace:
                 f"need one duration and one (sm, mem_mb, tx_mbps, rx_mbps) row per phase, "
                 f"got durations {durations.shape} and demands {demands.shape}"
             )
-        # Reductions first; any failure or NaN falls to the per-phase
-        # checks, which raise what building the first bad Phase would.
+        # Reductions first; any failure, NaN or infinity falls to the
+        # per-phase checks, which raise what building the first bad
+        # Phase would.  With every duration positive, the total is
+        # finite only if every duration is.
+        ends = np.cumsum(durations)
         sm = demands[:, 0]
+        mem = demands[:, 1]
+        peak_mem = mem.max()
         if not (
             durations.min() > 0.0
+            and ends[-1] < math.inf
             and sm.min() >= 0.0
             and sm.max() <= 1.0
-            and demands[:, 1].min() >= 0.0
+            and mem.min() >= 0.0
+            and peak_mem < math.inf
         ):
             for d, (s, m) in zip(durations.tolist(), demands[:, :2].tolist()):
                 _check_phase(d, s, m)
@@ -187,7 +199,7 @@ class WorkloadTrace:
         self.qos_class = qos_class
         self._durations = durations
         self._demands = demands
-        self._ends = array("d", np.cumsum(durations).tobytes())
+        self._ends = array("d", ends.tobytes())
         # The ends again as a NumPy view, for demand_table's readers.
         cum = np.frombuffer(self._ends)
         cum.flags.writeable = False
@@ -195,9 +207,9 @@ class WorkloadTrace:
         # Phase index -> the ResourceDemand demand_at returns for it,
         # built on the first lookup of that phase.
         self._memo: dict[int, ResourceDemand] = {}
-        # Lazily-computed peaks: schedulers ask for them per pending pod
-        # per pass.
-        self._peak_mem: float | None = None
+        # Schedulers ask for the peaks per pending pod per pass: the
+        # memory peak is the check's, the SM peak is computed lazily.
+        self._peak_mem = float(peak_mem)
         self._peak_sm: float | None = None
         self.requested_mem_mb = (
             float(requested_mem_mb) if requested_mem_mb is not None else self.peak_mem_mb()
@@ -265,10 +277,7 @@ class WorkloadTrace:
 
     def peak_mem_mb(self) -> float:
         """Worst-case device memory across the trace."""
-        peak = self._peak_mem
-        if peak is None:
-            peak = self._peak_mem = float(self._demands[:, 1].max())
-        return peak
+        return self._peak_mem
 
     def peak_sm(self) -> float:
         peak = self._peak_sm

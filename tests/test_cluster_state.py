@@ -5,7 +5,9 @@ every mutating path writes through into the flat numpy mirror the hot
 paths read.  These tests pin the contract documented in
 ``cluster/state.py``: allocation is re-summed (bit-identical to
 ``free_mem_mb``), flags and samples mirror exactly, epochs bump on
-scheduling-relevant transitions only, and the telemetry ring's sparse
+scheduling-relevant transitions only, ``epoch_gen`` moves with every
+epoch bump and ``sample_gen`` with every changed sample column (and
+with nothing else), and the telemetry ring's sparse
 heartbeat consumes the ``sample_dirty`` set without ever storing a
 value the full requantization would not, and a span append leaves the
 ring exactly as one append per time would.
@@ -203,6 +205,81 @@ class TestFlagAndSampleSync:
         assert asleep.power_w < awake.power_w
         gpu.asleep = False
         assert gpu.idle_sample() is awake
+
+
+# ---------------------------------------------------------------------------
+# Change counters
+# ---------------------------------------------------------------------------
+
+_SAMPLE = GpuSample(sm_util=0.7, mem_used_mb=123.4, mem_util=0.01, power_w=151.7,
+                    tx_mbps=12.0, rx_mbps=3.0, num_containers=2)
+_RING_INPUTS = {"sm_util", "mem_used_mb", "power_w", "tx_mbps", "rx_mbps"}
+
+
+class TestChangeCounters:
+    @pytest.mark.parametrize(
+        "hook",
+        ["attach", "detach", "resize", "sleep", "wake", "fail", "repair", "cordon", "uncordon"],
+    )
+    def test_every_epoch_bump_moves_epoch_gen_and_no_sample_gen(self, cluster, state, hook):
+        gpu = _gpus(cluster)[6]
+        gpu.attach("pod-a", 100.0)
+        gpu.cordoned = hook == "uncordon"
+        if hook == "repair":
+            gpu.detach("pod-a")
+            gpu.fail()
+        elif hook == "wake":
+            gpu.detach("pod-a")
+            gpu.sleep()
+        epochs, epoch_gen, sample_gen = state.node_epoch.copy(), state.epoch_gen, state.sample_gen
+        {
+            "attach": lambda: gpu.attach("pod-b", 50.0),
+            "detach": lambda: gpu.detach("pod-a"),
+            "resize": lambda: gpu.resize("pod-a", 80.0),
+            "sleep": lambda: (gpu.detach("pod-a"), gpu.sleep()),
+            "wake": lambda: setattr(gpu, "asleep", False),
+            "fail": gpu.fail,
+            "repair": gpu.repair,
+            "cordon": lambda: setattr(gpu, "cordoned", True),
+            "uncordon": lambda: setattr(gpu, "cordoned", False),
+        }[hook]()
+        bumps = int((state.node_epoch - epochs).sum())
+        assert bumps >= 1
+        assert state.epoch_gen - epoch_gen == bumps
+        assert state.sample_gen == sample_gen
+
+    @pytest.mark.parametrize(
+        "field",
+        ["sm_util", "mem_used_mb", "mem_util", "power_w", "tx_mbps", "rx_mbps", "num_containers"],
+    )
+    def test_a_changed_column_moves_sample_gen_once(self, cluster, state, field):
+        gpu = _gpus(cluster)[4]
+        i = state.index[gpu.gpu_id]
+        gpu.last_sample = _SAMPLE
+        state.sample_dirty.clear()
+        sample_gen, epoch_gen = state.sample_gen, state.epoch_gen
+        gpu.last_sample = replace(_SAMPLE, **{field: getattr(_SAMPLE, field) + 1})
+        assert state.sample_gen == sample_gen + 1
+        assert state.epoch_gen == epoch_gen
+        # Only the ring's five inputs mark the row; a change to
+        # ``mem_util`` or ``num_containers`` alone moves only the counter.
+        assert state.sample_dirty == ({i} if field in _RING_INPUTS else set())
+
+    def test_an_equal_rewrite_moves_no_counter(self, cluster, state):
+        gpu = _gpus(cluster)[4]
+        gpu.last_sample = _SAMPLE
+        sample_gen, epoch_gen = state.sample_gen, state.epoch_gen
+        gpu.last_sample = replace(_SAMPLE)     # equal values, another object
+        gpu.last_sample = _SAMPLE
+        assert (state.sample_gen, state.epoch_gen) == (sample_gen, epoch_gen)
+
+    def test_a_nan_field_moves_sample_gen_on_every_sync(self, cluster, state):
+        gpu = _gpus(cluster)[4]
+        sample = replace(_SAMPLE, mem_util=float("nan"))
+        gpu.last_sample = sample
+        sample_gen = state.sample_gen
+        gpu.last_sample = sample
+        assert state.sample_gen == sample_gen + 1
 
 
 # ---------------------------------------------------------------------------

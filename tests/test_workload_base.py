@@ -33,6 +33,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             Phase(1.0, ResourceDemand(0.1, -5, 0, 0))
 
+    def test_infinite_duration_or_memory(self):
+        with pytest.raises(ValueError, match="^phase duration must be finite, got inf$"):
+            Phase(float("inf"), ResourceDemand(0.1, 10, 0, 0))
+        with pytest.raises(ValueError, match="^memory demand must be finite$"):
+            Phase(1.0, ResourceDemand(0.1, float("inf"), 0, 0))
+
 
 class TestDemandLookup:
     def test_demand_at_selects_phase(self):
@@ -276,6 +282,13 @@ class TestColumns:
             # NaN fails every check, so none reaches a profile's statistics.
             ([10.0, float("nan")], [(0.1, 1, 0, 0), (0.1, 1, 0, 0)], "phase duration must be positive, got nan"),
             ([10.0], [(0.1, float("nan"), 0, 0)], "memory demand must be non-negative"),
+            # An infinity would reach a reservation as NaN (a p80 between
+            # a finite and an infinite sample is inf - inf) or overflow a
+            # profile's sampling grid.
+            ([float("inf")], [(0.1, 1, 0, 0)], "phase duration must be finite, got inf"),
+            ([10.0, 5.0], [(0.1, 1, 0, 0), (0.1, float("inf"), 0, 0)], "memory demand must be finite"),
+            ([float("-inf")], [(0.1, 1, 0, 0)], "phase duration must be positive, got -inf"),
+            ([10.0], [(0.1, float("-inf"), 0, 0)], "memory demand must be non-negative"),
         ],
     )
     def test_bad_columns_raise_the_phase_errors(self, durations, demands, message):
