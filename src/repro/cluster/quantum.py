@@ -438,15 +438,37 @@ class QuantumEngine:
                     np.bincount(inv, weights=self._d_rx[act], minlength=m),
                     self._pcie[touched],
                 )[write_t]
-                state.sm_util[wd] = np.minimum(total_sm_t, 1.0)[write_t]
+                sm = np.minimum(total_sm_t, 1.0)[write_t]
+                mem_util = mem_used / self._cap[wd]
+                power = self._idle_w[wd] + self._span_w[wd] * u
+                containers = counts_t[write_t]
+                # ClusterState.sync_sample's rule: mark a row only when
+                # one of the ring's five inputs differs, and move
+                # sample_gen only when one of the seven columns does.
+                # `!=` is exact: no sample column ever holds -0.0 (these
+                # sums start at +0.0, as sync_sample's do), and a NaN
+                # counts as a change.
+                moved = (
+                    (state.sm_util[wd] != sm)
+                    | (state.mem_used_mb[wd] != mem_used)
+                    | (state.power_w[wd] != power)
+                    | (state.tx_mbps[wd] != tx)
+                    | (state.rx_mbps[wd] != rx)
+                )
+                if moved.any():
+                    state.sample_dirty.update(wd[moved].tolist())
+                    state.sample_gen += 1
+                elif (state.mem_util[wd] != mem_util).any() or (
+                    state.sample_containers[wd] != containers
+                ).any():
+                    state.sample_gen += 1
+                state.sm_util[wd] = sm
                 state.mem_used_mb[wd] = mem_used
-                state.mem_util[wd] = mem_used / self._cap[wd]
-                state.power_w[wd] = self._idle_w[wd] + self._span_w[wd] * u
+                state.mem_util[wd] = mem_util
+                state.power_w[wd] = power
                 state.tx_mbps[wd] = tx
                 state.rx_mbps[wd] = rx
-                state.sample_containers[wd] = counts_t[write_t]
-                state.sample_dirty.update(wd.tolist())
-                state.sample_gen += 1
+                state.sample_containers[wd] = containers
                 self._stale[wd] = True
 
             # 7. Advance progress for pods on untouched devices.

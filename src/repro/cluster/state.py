@@ -37,12 +37,12 @@ and utilization record in every run, sanitized or not.
 **The telemetry ring trusts ``sample_dirty``.**  A device whose sample
 can have changed since the ring's previous append must be in
 ``sample_dirty`` when the next append runs:
-:meth:`ClusterState.sync_sample` marks every row in which one of the
-ring's five inputs took another value, and the vectorized quantum marks
-every row it writes.  The ring keeps a column only for devices that
-were marked after its first heartbeat and reads every other device's
-whole history from its one held value, so a sample column written
-without marking its row would rewrite that device's logged past.
+:meth:`ClusterState.sync_sample` and the vectorized quantum both mark
+every row in which one of the ring's five inputs took another value.
+The ring keeps a column only for devices that were marked after its
+first heartbeat and reads every other device's whole history from its
+one held value, so a sample column written without marking its row
+would rewrite that device's logged past.
 
 Each mutation also bumps a per-node *epoch* counter, which is what lets
 the orchestrator skip quiescent kubelets and schedulers reuse cached
@@ -60,8 +60,9 @@ since a consumer last looked, under the same write-through contract:
 * ``sample_gen`` moves with every sample write that changes a column
   value (``sm_util``, ``mem_used_mb``, ``mem_util``, ``power_w``,
   ``tx_mbps``, ``rx_mbps``, ``sample_containers``):
-  :meth:`~ClusterState.sync_sample` bumps it when one of them differs
-  and the vectorized quantum once per tick on which it writes rows.
+  :meth:`~ClusterState.sync_sample` bumps it when one of them differs,
+  and the vectorized quantum once per tick on which one of them differs
+  in a row it writes.
 
 The orchestrator's due set and idle-pass checks and the simulator's
 power vector keep their last result while the counters they read hold.

@@ -2,8 +2,9 @@
 
 Threading model (three threads, one hand-off point):
 
-* **front-door thread** — an asyncio loop (``asyncio.start_server``)
-  parsing HTTP/1.1 out of the stdlib, translating ``POST /v1/pods``
+* **front-door thread** — an asyncio loop (``loop.create_server`` with
+  one :class:`asyncio.Protocol` per connection) parsing HTTP/1.1 out of
+  the stdlib, translating ``POST /v1/pods``
   JSON into :class:`~repro.kube.pod.PodSpec` objects and offering them
   to the :class:`~repro.serve.queue.AdmissionQueue`; a full queue is a
   ``429`` + ``Retry-After``, a draining one a ``503``.
@@ -37,12 +38,14 @@ import asyncio
 import json
 import math
 import os
+import re
 import signal
 import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, cast
 
 import numpy as np
 
@@ -492,6 +495,32 @@ class KnotsService:
 
 # -- request validation ------------------------------------------------------
 
+#: Upper bounds of a ``POST /v1/pods`` body's numeric fields.  Each
+#: admits what the repo's own generators emit: the app mixes use scales
+#: 30-65, headrooms 0.4-1.6 and batch sizes 1-8.  At scale 1,000 a
+#: Rodinia trace has 10.5k-24.5k phases (at most 1.2 MB of columns);
+#: headroom times peak memory is clamped to the 16 GB device anyway;
+#: Fig. 4 sweeps batch sizes 1-128.
+_MAX_SCALE = 1_000.0
+_MAX_HEADROOM = 10.0
+_MAX_BATCH_SIZE = 128
+
+
+def _positive(payload: dict[str, Any], key: str, default: float, hi: float) -> float:
+    """``payload[key]`` (or ``default``) as a finite float in ``(0, hi]``.
+
+    Raises ``ValueError`` otherwise: NaN, an infinity and an integer too
+    large for a float included.
+    """
+    value = payload.get(key, default)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not (0.0 < x <= hi and x < math.inf):
+        raise ValueError(f"{key!r} must be a finite number in (0, {hi:g}], got {value!r}")
+    return x
+
 
 def spec_from_json(payload: dict[str, Any]) -> PodSpec:
     """Build a :class:`PodSpec` from a ``POST /v1/pods`` body.
@@ -500,7 +529,11 @@ def spec_from_json(payload: dict[str, Any]) -> PodSpec:
     mixes: ``rodinia/<app>`` is a batch pod, ``djinn/<query>`` a
     latency-critical inference pod.  Per-request ``seed`` pins the
     synthesized trace, so a replayed request is bit-identical.
-    Raises ``ValueError`` on anything malformed (the front door's 400).
+    Raises ``ValueError`` on anything malformed (the front door's 400),
+    an out-of-range number included: ``seed`` is a non-negative
+    integer, ``scale`` in (0, 1000], ``headroom`` in (0, 10],
+    ``batch_size`` in [1, 128] and ``qos_threshold_ms`` positive, all
+    finite.
     """
     if not isinstance(payload, dict):
         raise ValueError("request body must be a JSON object")
@@ -508,7 +541,10 @@ def spec_from_json(payload: dict[str, Any]) -> PodSpec:
     if not isinstance(image, str) or "/" not in image:
         raise ValueError("'image' must look like 'rodinia/<app>' or 'djinn/<query>'")
     family, _, app = image.partition("/")
-    seed = int(payload.get("seed", 0))
+    try:
+        seed = int(payload.get("seed", 0))
+    except OverflowError:
+        raise ValueError("'seed' must be a finite integer") from None
     rng = np.random.default_rng(seed)
     if family == "rodinia":
         if app not in RODINIA_PROFILES:
@@ -518,8 +554,8 @@ def spec_from_json(payload: dict[str, Any]) -> PodSpec:
         trace = make_rodinia_trace(
             app,
             rng,
-            scale=float(payload.get("scale", 40.0)),
-            requested_headroom=float(payload.get("headroom", 1.25)),
+            scale=_positive(payload, "scale", 40.0, _MAX_SCALE),
+            requested_headroom=_positive(payload, "headroom", 1.25, _MAX_HEADROOM),
         )
         qos_ms = None
     elif family == "djinn":
@@ -530,10 +566,10 @@ def spec_from_json(payload: dict[str, Any]) -> PodSpec:
         trace = make_inference_trace(
             app,
             rng,
-            batch_size=int(payload.get("batch_size", 1)),
+            batch_size=int(_positive(payload, "batch_size", 1, _MAX_BATCH_SIZE)),
             tf_managed=bool(payload.get("tf_managed", False)),
         )
-        qos_ms = float(payload.get("qos_threshold_ms", QOS_THRESHOLD_MS))
+        qos_ms = _positive(payload, "qos_threshold_ms", QOS_THRESHOLD_MS, math.inf)
     else:
         raise ValueError(f"unknown image family {family!r} (rodinia | djinn)")
     name = payload.get("name") or f"{family}-{app}"
@@ -544,11 +580,185 @@ def spec_from_json(payload: dict[str, Any]) -> PodSpec:
 
 # -- the asyncio front door --------------------------------------------------
 
+#: One deadline per connection: the whole request, head and body, must
+#: arrive within this many seconds of the connect, or it is answered 400.
+REQUEST_TIMEOUT_S = 10.0
+#: A request head (request line and headers) over this many bytes is a 400.
+MAX_HEAD_BYTES = 64 * 1024
+#: A ``Content-Length`` over this many bytes is a 413, answered before
+#: the body is read.
+MAX_BODY_BYTES = 64 * 1024
+
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 429: "Too Many Requests",
+    405: "Method Not Allowed", 413: "Content Too Large", 429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
+
+_Answer = tuple[int, str, bytes, dict[str, str]]
+
+_MALFORMED: _Answer = (400, "text/plain", b"malformed request\n", {})
+_BAD_REQUEST_LINE: _Answer = (400, "text/plain", b"malformed request line\n", {})
+_TOO_LARGE: _Answer = (
+    413, "text/plain", f"request body over {MAX_BODY_BYTES} bytes\n".encode(), {}
+)
+_INTERNAL: _Answer = (500, "text/plain", b"internal error\n", {})
+
+#: The blank line that ends a head: ``\n`` or ``\r\n`` right after a line end.
+_BLANK_LINE = re.compile(rb"\n\r?\n")
+
+
+def _response(status: int, ctype: str, body: bytes, extra: dict[str, str]) -> bytes:
+    """The bytes of one ``Connection: close`` response."""
+    headers = [
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+        f"Content-Type: {ctype}",
+        f"Content-Length: {len(body)}",
+        "Connection: close",
+    ]
+    headers += [f"{k}: {v}" for k, v in extra.items()]
+    return ("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + body
+
+
+class _Request(asyncio.Protocol):
+    """One connection: buffer one request, answer it, close.
+
+    The head is complete at its first blank line, or at EOF; ``\\n`` and
+    ``\\r\\n`` both end a line.  Its first line must hold a method and a
+    path.  The body is exactly ``Content-Length`` bytes: the last such
+    header wins, and a non-integer or negative value is a 400.  One
+    timer (:data:`REQUEST_TIMEOUT_S`) bounds the whole request.
+
+    An answer sent before the request was read to its end (a bad head,
+    a body over the cap) half-closes the connection and discards what
+    the client still sends until it closes or the deadline passes:
+    closing a socket with unread input resets the connection, which can
+    cost the client the answer.
+    """
+
+    __slots__ = (
+        "front", "transport", "buf", "scan", "body_at", "need",
+        "method", "path", "deadline", "answered",
+    )
+
+    def __init__(self, front: FrontDoor) -> None:
+        self.front = front
+        self.transport: asyncio.Transport | None = None
+        self.buf = bytearray()
+        self.scan = 0            # where the blank-line search resumes
+        self.body_at = -1        # offset of the body in buf, once the head is read
+        self.need = 0            # the body's Content-Length
+        self.method = ""
+        self.path = ""
+        self.deadline: asyncio.TimerHandle | None = None
+        self.answered = False
+
+    # -- transport callbacks ----------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+        self.front._conns.add(self.transport)
+        self.deadline = asyncio.get_running_loop().call_later(
+            REQUEST_TIMEOUT_S, self._expire
+        )
+
+    def data_received(self, data: bytes) -> None:
+        if self.answered:
+            return                   # discarding after an early answer
+        buf = self.buf
+        buf += data
+        if self.body_at < 0:
+            blank = _BLANK_LINE.search(buf, self.scan)
+            if blank is None:
+                if len(buf) > MAX_HEAD_BYTES:
+                    self._answer(_MALFORMED, early=True)
+                else:
+                    self.scan = max(len(buf) - 2, 0)
+                return
+            if blank.end() > MAX_HEAD_BYTES:
+                self._answer(_MALFORMED, early=True)
+                return
+            self.body_at = blank.end()
+            error = self._parse_head(blank.start())
+            if error is not None:
+                self._answer(error, early=True)
+                return
+        if len(buf) - self.body_at >= self.need:
+            self._answer(self._dispatch(), early=False)
+
+    def eof_received(self) -> bool | None:
+        if self.answered:
+            return None              # the client is done: close
+        if self.body_at < 0:
+            # EOF ends the head: every byte so far is head.
+            self.body_at = len(self.buf)
+            error = self._parse_head(self.body_at)
+            if error is not None:
+                self._answer(error, early=False)
+                return None
+        if len(self.buf) - self.body_at >= self.need:
+            self._answer(self._dispatch(), early=False)
+        else:
+            self._answer(_MALFORMED, early=False)     # a truncated body
+        return None
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.answered = True
+        if self.deadline is not None:
+            self.deadline.cancel()
+            self.deadline = None
+        if self.transport is not None:
+            self.front._conns.discard(self.transport)
+
+    # -- parsing and answering ----------------------------------------------
+
+    def _parse_head(self, end: int) -> _Answer | None:
+        """Read the method, path and Content-Length from ``buf[:end]``;
+        an answer on error."""
+        lines = self.buf[:end].decode("latin-1").split("\n")
+        parts = lines[0].split()
+        if len(parts) < 2:
+            return _BAD_REQUEST_LINE
+        self.method, self.path = parts[0], parts[1]
+        need = 0
+        for line in lines[1:]:
+            key, _, value = line.partition(":")
+            if key.strip().lower() == "content-length":
+                try:
+                    need = int(value.strip())
+                except ValueError:
+                    return _MALFORMED
+        if need < 0:
+            return _MALFORMED
+        if need > MAX_BODY_BYTES:
+            return _TOO_LARGE
+        self.need = need
+        return None
+
+    def _dispatch(self) -> _Answer:
+        body = bytes(self.buf[self.body_at : self.body_at + self.need])
+        try:
+            return self.front._route(self.method, self.path, body)
+        except Exception:
+            traceback.print_exc(file=sys.stderr)
+            return _INTERNAL
+
+    def _expire(self) -> None:
+        self.deadline = None
+        if not self.answered:
+            self._answer(_MALFORMED, early=False)
+        elif self.transport is not None:
+            self.transport.abort()       # still discarding, or not reading the answer
+
+    def _answer(self, answer: _Answer, early: bool) -> None:
+        self.answered = True
+        transport = self.transport
+        assert transport is not None
+        transport.write(_response(*answer))
+        if early:
+            transport.write_eof()
+        else:
+            transport.close()
 
 
 class FrontDoor:
@@ -556,10 +766,13 @@ class FrontDoor:
 
     Routes::
 
-        POST /v1/pods   submit a pod        202 | 400 | 429 | 503
+        POST /v1/pods   submit a pod        202 | 400 | 413 | 429 | 503
         GET  /metrics   Prometheus text     200
         GET  /v1/stats  JSON status         200
         GET  /healthz   liveness            200
+
+    Each connection carries one request, parsed by a :class:`_Request`
+    protocol; anything malformed is a 4xx.
     """
 
     def __init__(self, service: KnotsService, host: str = "127.0.0.1", port: int = 0) -> None:
@@ -576,6 +789,8 @@ class FrontDoor:
         self._server: asyncio.AbstractServer | None = None
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
+        #: Open connections' transports (touched only on the serve thread).
+        self._conns: set[asyncio.Transport] = set()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -610,6 +825,10 @@ class FrontDoor:
     def _shutdown(self) -> None:
         if self._server is not None:
             self._server.close()
+        # Open connections are cut, not waited for: one still reading
+        # a request would otherwise hold its socket past the loop.
+        for transport in tuple(self._conns):
+            transport.abort()
         assert self._aio is not None
         self._aio.stop()
 
@@ -620,7 +839,7 @@ class FrontDoor:
         asyncio.set_event_loop(aio)
         try:
             server = aio.run_until_complete(
-                asyncio.start_server(self._handle, self.host, self.port)
+                aio.create_server(self._connection, self.host, self.port)
             )
             with self._state_lock:
                 self._server = server
@@ -643,53 +862,9 @@ class FrontDoor:
 
     # -- request handling ----------------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            status, ctype, body, extra = await self._respond(reader)
-        except Exception:
-            status, ctype, body, extra = 500, "text/plain", b"internal error\n", {}
-        headers = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-            f"Content-Type: {ctype}",
-            f"Content-Length: {len(body)}",
-            "Connection: close",
-        ]
-        headers += [f"{k}: {v}" for k, v in extra.items()]
-        try:
-            writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + body)
-            await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-
-    async def _respond(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[int, str, bytes, dict[str, str]]:
-        try:
-            request_line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                return 400, "text/plain", b"malformed request line\n", {}
-            method, path = parts[0], parts[1]
-            content_length = 0
-            while True:
-                line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                key, _, value = line.decode("latin-1").partition(":")
-                if key.strip().lower() == "content-length":
-                    content_length = int(value.strip())
-            body = (
-                await asyncio.wait_for(reader.readexactly(content_length), timeout=10.0)
-                if content_length
-                else b""
-            )
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError, ValueError):
-            return 400, "text/plain", b"malformed request\n", {}
-        return self._route(method, path, body)
+    def _connection(self) -> asyncio.BaseProtocol:
+        """The protocol of a new connection (the server's factory)."""
+        return _Request(self)
 
     def _route(
         self, method: str, path: str, body: bytes
@@ -712,7 +887,8 @@ class FrontDoor:
     def _submit(self, body: bytes) -> tuple[int, str, bytes, dict[str, str]]:
         try:
             spec = spec_from_json(json.loads(body.decode("utf-8") or "null"))
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            # RecursionError: JSON nested deeper than the decoder recurses.
             self.service.slo.invalid()
             msg = json.dumps({"error": str(exc)}).encode()
             return 400, "application/json", msg + b"\n", {}

@@ -115,7 +115,7 @@ class WorkloadTrace:
     requested_mem_mb:
         Memory the *user* requests for the container.  Applications
         overstate their needs (Observation 2); defaults to the peak of
-        the trace if not given.
+        the trace if not given.  Must be finite and non-negative.
 
     The phases are stored as three read-only columns: the cumulative
     phase ends (an ``array('d')``, which ``bisect`` searches without a
@@ -170,6 +170,11 @@ class WorkloadTrace:
         demands = np.array(demands, dtype=float)
         if durations.size == 0:
             raise ValueError("a workload needs at least one phase")
+        if requested_mem_mb is not None and not 0.0 <= requested_mem_mb < math.inf:
+            # As _check_phase for phase memory; NaN fails the comparison.
+            raise ValueError(
+                f"requested memory must be finite and non-negative, got {requested_mem_mb}"
+            )
         if durations.ndim != 1 or demands.shape != (len(durations), 4):
             raise ValueError(
                 f"need one duration and one (sm, mem_mb, tx_mbps, rx_mbps) row per phase, "

@@ -11,7 +11,10 @@ shortcut result stands for, at every step, and requires the same bits:
   to more than ``_FEW_MOVERS`` devices;
 * the simulator's power vector and energy increment, against a fresh
   ``np.where`` over the state columns, on quantum and object ticks;
-* the orchestrator's kept due set, against the full-width mask.
+* the orchestrator's kept due set, against the full-width mask;
+* the vectorized quantum's dirty marks: a fast tick that rewrites equal
+  values marks nothing, and every heartbeat of a quantum-routed run
+  equals a full requantization of the state columns.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 from repro.cluster.cluster import make_paper_cluster
 from repro.core.orchestrator import KubeKnots
 from repro.core.schedulers import make_scheduler
+from repro.kube.pod import PodPhase
 from repro.obs.context import Observability
 from repro.scenario.gangs import apply_gang_mix
 from repro.scenario.spec import SCENARIOS
@@ -32,6 +36,7 @@ from repro.telemetry.matrix import _FEW_MOVERS, MatrixTelemetry
 from repro.telemetry.nvml import METRICS
 from repro.units import ms_to_s
 from repro.workloads.appmix import generate_appmix_workload
+from tests.conftest import make_spec
 from tests.dense_ring import DenseRing, windows_of
 
 # ---------------------------------------------------------------------------
@@ -209,3 +214,74 @@ def test_kept_due_set_equals_the_full_mask(monkeypatch, case):
     if sim.orchestrator.quantum is not None:
         _check_ticks(sim, tick)
     assert 0 < kept < ticks
+
+
+# ---------------------------------------------------------------------------
+# (d) The quantum's dirty marks
+# ---------------------------------------------------------------------------
+
+
+def test_a_fast_tick_rewriting_equal_values_marks_nothing():
+    # One pod in a long steady phase: once it runs, every fast tick
+    # writes its device's row with the values already there.
+    cluster = make_paper_cluster(num_nodes=2, gpus_per_node=2)
+    orch = KubeKnots(cluster, make_scheduler("cbp"))
+    engine = orch.quantum
+    engine.min_batch = 0
+    pod = orch.api.submit(make_spec("steady", duration_ms=60_000.0), 0.0)
+    orch.scheduling_pass(0.0)
+    state = cluster.state
+    now = 0.0
+    while pod.phase is not PodPhase.RUNNING:
+        now += 10.0
+        orch.step_kubelets(now, 10.0)
+        assert now < 10_000.0, "the pod never started"
+    now += 10.0
+    orch.step_kubelets(now, 10.0)            # the first tick it runs
+    for _ in range(5):
+        state.sample_dirty.clear()
+        sample_gen, fast_ticks = state.sample_gen, engine.fast_ticks
+        before = state.power_w.copy()
+        now += 10.0
+        orch.step_kubelets(now, 10.0)
+        assert engine.fast_ticks == fast_ticks + 1
+        assert state.power_w.tobytes() == before.tobytes()
+        assert state.sample_dirty == set()
+        assert state.sample_gen == sample_gen
+
+
+def _full_row(state) -> dict[str, np.ndarray]:
+    """Every device's quantized sample, read from every column: a fresh
+    dense ring's first append ignores the dirty marks."""
+    ring = DenseRing(state, heartbeat_ms=100.0, window_ms=1_000.0)
+    marked = set(state.sample_dirty)
+    ring.append_from_state(0.0)
+    state.sample_dirty |= marked            # appends consume the marks
+    return {metric: ring.data[metric][0].copy() for metric in METRICS}
+
+
+def test_every_quantum_heartbeat_equals_a_full_requantization(monkeypatch):
+    sim = _gang_fault_sim()
+    _route(sim, "quantum")
+    heartbeats = 0
+    append_span = MatrixTelemetry.append_span
+
+    def checked(ring, times):
+        nonlocal heartbeats
+        want = _full_row(ring.state)
+        append_span(ring, times)
+        if not len(times):
+            return
+        t = times[-1]
+        for col in range(len(ring.state)):
+            got = ring.query(col, METRICS, t, t)
+            for metric in METRICS:
+                assert got[metric].values[-1:].tobytes() == want[metric][col : col + 1].tobytes(), (
+                    t, col, metric,
+                )
+        heartbeats += 1
+
+    monkeypatch.setattr(MatrixTelemetry, "append_span", checked)
+    sim.run()
+    _check_ticks(sim, "quantum")
+    assert heartbeats > 100

@@ -10,6 +10,7 @@ import os
 import random
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -19,6 +20,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     OFFER_ACCEPTED,
@@ -227,10 +230,41 @@ class TestSpecFromJson:
         {"image": "djinn/not-a-real-query"},
         {"image": "otherfamily/x"},
         {"image": "rodinia/lud", "name": 7},
+        # Numbers outside their ranges: a negative headroom would raise
+        # at bind on the service thread, a NaN one would never be placed,
+        # a huge scale would exhaust memory, an infinity would overflow.
+        {"image": "rodinia/lud", "headroom": -1},
+        {"image": "rodinia/lud", "headroom": float("nan")},
+        {"image": "rodinia/lud", "headroom": 0},
+        {"image": "rodinia/lud", "headroom": float("inf")},
+        {"image": "rodinia/lud", "scale": 1e5},
+        {"image": "rodinia/lud", "scale": 1e12},
+        {"image": "rodinia/lud", "scale": 10**400},
+        {"image": "rodinia/lud", "scale": -1},
+        {"image": "rodinia/lud", "seed": float("inf")},
+        {"image": "djinn/face", "batch_size": float("inf")},
+        {"image": "djinn/face", "batch_size": 0},
+        {"image": "djinn/face", "batch_size": 129},
+        {"image": "djinn/face", "qos_threshold_ms": -1},
+        {"image": "djinn/face", "qos_threshold_ms": float("nan")},
+        {"image": "djinn/face", "qos_threshold_ms": float("inf")},
     ])
     def test_malformed_payloads_rejected(self, payload):
         with pytest.raises((ValueError, TypeError)):
             spec_from_json(payload)
+
+    @pytest.mark.parametrize("payload", [
+        # The ends of what the repo's own generators emit, and the caps.
+        {"image": "rodinia/lud", "scale": 30, "headroom": 0.4},
+        {"image": "rodinia/lud", "scale": 65, "headroom": 1.6},
+        {"image": "rodinia/streamcluster", "scale": 1_000, "headroom": 10},
+        {"image": "djinn/face", "batch_size": 8, "qos_threshold_ms": 150.0},
+        {"image": "djinn/face", "batch_size": 128, "tf_managed": True},
+    ])
+    def test_generator_ranges_admitted(self, payload):
+        spec = spec_from_json(payload)
+        assert spec.trace.requested_mem_mb > 0.0
+        assert len(spec.trace.demand_table()[0]) < 25_000      # phases
 
 
 # -- KnotsService -------------------------------------------------------------
@@ -496,6 +530,322 @@ class TestFrontDoorE2E:
             assert err.value.code == 404
         finally:
             front.stop()
+
+
+# -- the request parser: the stream oracle, fuzzing, shutdown ------------------
+
+
+def _exchange(
+    port: int, chunks: list[bytes], gap_s: float = 0.0, shut: bool = False,
+    timeout: float = 10.0,
+) -> bytes:
+    """Send ``chunks`` on one connection, ``gap_s`` apart; return every
+    byte the server sends back before it closes.
+
+    ``shut`` half-closes the connection after the last chunk.  A server
+    that answers before the request is sent may close early: a failed
+    send ends the sending, and a reset after the answer ends the read.
+    Raises ``TimeoutError`` when the server neither answers nor closes
+    within ``timeout``.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        try:
+            for k, chunk in enumerate(chunks):
+                if k and gap_s:
+                    time.sleep(gap_s)
+                sock.sendall(chunk)
+            if shut:
+                sock.shutdown(socket.SHUT_WR)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+        out = b""
+        while True:
+            try:
+                data = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not data:
+                break
+            out += data
+        return out
+
+
+def _status(response: bytes) -> int:
+    match = re.match(rb"HTTP/1\.1 (\d{3}) ", response)
+    assert match is not None, f"no status line in {response[:200]!r}"
+    return int(match.group(1))
+
+
+def _post_bytes(body: bytes, eol: str = "\r\n") -> bytes:
+    head = f"POST /v1/pods HTTP/1.1{eol}Content-Length: {len(body)}{eol}{eol}"
+    return head.encode("latin-1") + body
+
+
+def _door(door_type, **overrides):
+    cfg = ServeConfig(duration_s=None, paced=True, http=False, **{**SMALL, **overrides})
+    return door_type(KnotsService(cfg), "127.0.0.1", 0).start()
+
+
+@pytest.fixture(scope="module")
+def twin_doors():
+    """The shipped front door and the stream oracle, each on its own
+    idle service (the queue fills at 6; nothing drains it), so the
+    same requests in the same order get the same answers."""
+    from repro.serve import FrontDoor
+    from tests.stream_front_door import StreamFrontDoor
+
+    doors = [_door(FrontDoor, queue_capacity=6), _door(StreamFrontDoor, queue_capacity=6)]
+    try:
+        yield doors
+    finally:
+        for door in doors:
+            door.stop()
+
+
+_ROUTES = [
+    ("POST", "/v1/pods"), ("POST", "/v1/pods"), ("POST", "/v1/pods"),
+    ("GET", "/healthz"), ("GET", "/v1/stats"), ("GET", "/metrics"),
+    ("GET", "/v1/pods"), ("POST", "/healthz"), ("GET", "/nope"), ("DELETE", "/v1/pods"),
+]
+_IMAGES = ["djinn/face", "djinn/imc", "rodinia/lud", "rodinia/kmeans", "rodinia/nope", "other/x"]
+_HEADER_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=24)
+
+
+@st.composite
+def _well_formed(draw):
+    """One well-formed request as bytes: any route, either line end,
+    extra headers, a Content-Length in any case (possibly repeated, the
+    last one right) and a JSON or other body."""
+    method, path = draw(st.sampled_from(_ROUTES))
+    eol = draw(st.sampled_from(["\r\n", "\n"]))
+    version = draw(st.sampled_from([" HTTP/1.1", " HTTP/1.0", ""]))
+    body = b""
+    if method == "POST" or draw(st.booleans()):
+        pod = {"image": draw(st.sampled_from(_IMAGES)), "seed": draw(st.integers(0, 10**6))}
+        if draw(st.booleans()):
+            pod["name"] = draw(_HEADER_TEXT)
+        if draw(st.booleans()):
+            pod["scale"] = draw(st.sampled_from([30, 40.5, 65, 2_000]))
+        pod_body = json.dumps(pod).encode()
+        body = draw(st.sampled_from([
+            pod_body, pod_body, pod_body, b"", b"[1, 2]", b"not json", b"null", b'{"image": 7}',
+        ]))
+    headers = [
+        (draw(st.sampled_from(["Host", "User-Agent", "Accept", "X-Trace"])), draw(_HEADER_TEXT))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    if body or draw(st.booleans()):
+        names = st.sampled_from(["Content-Length", "content-length", "CONTENT-LENGTH"])
+        value = f"{draw(st.sampled_from(['', ' ', '  ']))}{len(body)}{draw(st.sampled_from(['', ' ']))}"
+        at = draw(st.integers(0, len(headers)))
+        headers.insert(at, (draw(names), value))
+        if draw(st.booleans()):
+            # An earlier, wrong Content-Length: the last one wins.
+            headers.insert(draw(st.integers(0, at)), (draw(names), str(draw(st.integers(0, 50)))))
+    head = f"{method} {path}{version}{eol}" + "".join(f"{k}:{v}{eol}" for k, v in headers) + eol
+    return head.encode("latin-1") + body
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    request=_well_formed(),
+    cuts=st.lists(st.integers(0, 400), max_size=5),
+    gap_ms=st.sampled_from([0.0, 0.5, 2.0]),
+    shut=st.booleans(),
+)
+def test_well_formed_requests_get_the_stream_parsers_bytes(twin_doors, request, cuts, gap_ms, shut):
+    """The same request, split into the same chunks sent with small
+    delays, gets byte-identical answers from both parsers."""
+    bounds = sorted({0, len(request), *(c for c in cuts if c < len(request))})
+    chunks = [request[a:b] for a, b in zip(bounds, bounds[1:])]
+    shipped, oracle = (
+        _exchange(door.port, chunks, gap_ms / 1_000.0, shut, timeout=3.0) for door in twin_doors
+    )
+    assert shipped == oracle
+    assert _status(shipped) < 500
+
+
+@pytest.fixture(scope="module")
+def fuzz_door():
+    """The shipped front door with a 0.3 s request deadline, on an idle
+    service whose queue never fills here."""
+    from repro.serve import FrontDoor
+    from repro.serve import server
+
+    saved = server.REQUEST_TIMEOUT_S
+    server.REQUEST_TIMEOUT_S = 0.3
+    door = _door(FrontDoor, queue_capacity=100_000)
+    try:
+        yield door
+    finally:
+        door.stop()
+        server.REQUEST_TIMEOUT_S = saved
+
+
+_VALID_POD = json.dumps({"image": "djinn/face", "seed": 1}).encode()
+
+
+@st.composite
+def _malformed(draw):
+    """``(case, chunks, shut)``: one malformed request, how it is sent,
+    and whether the client half-closes after it."""
+    case = draw(st.sampled_from([
+        "missing path", "bad length", "negative length", "duplicate length",
+        "truncated body", "eof mid-head", "stalled head", "invalid utf-8",
+        "non-object json", "unknown image", "out-of-range number", "deep nesting",
+        "body over the cap", "head over the cap", "garbage",
+    ]))
+    eol = draw(st.sampled_from(["\r\n", "\n"]))
+    shut = draw(st.booleans())
+    if case == "missing path":
+        method = draw(st.sampled_from(["GET", "POST", ""]))
+        return case, [f"{method}{eol}Content-Length: 2{eol}{eol}{{}}".encode()], shut
+    if case == "bad length":
+        value = draw(st.sampled_from(["abc", "1.5", "", "0x10", "5 5", "--1"]))
+        return case, [f"POST /v1/pods HTTP/1.1{eol}Content-Length: {value}{eol}{eol}".encode()
+                      + _VALID_POD], shut
+    if case == "negative length":
+        n = draw(st.integers(1, 10**9))
+        return case, [f"POST /v1/pods HTTP/1.1{eol}Content-Length: -{n}{eol}{eol}".encode()], shut
+    if case == "duplicate length":
+        # The last one wins: too short (a cut-off JSON body) or too long
+        # (a truncated body).
+        last = draw(st.sampled_from([1, len(_VALID_POD) - 1, len(_VALID_POD) + 5]))
+        head = (f"POST /v1/pods HTTP/1.1{eol}Content-Length: {len(_VALID_POD)}{eol}"
+                f"Content-Length: {last}{eol}{eol}")
+        return case, [head.encode() + _VALID_POD], shut
+    if case == "truncated body":
+        missing = draw(st.integers(1, 1_000))
+        head = f"POST /v1/pods HTTP/1.1{eol}Content-Length: {len(_VALID_POD) + missing}{eol}{eol}"
+        return case, [head.encode() + _VALID_POD], shut
+    if case == "eof mid-head":
+        head = f"POST /v1/pods HTTP/1.1{eol}Content-Length: 20{eol}Host: x{eol}".encode()
+        return case, [head[: draw(st.integers(0, len(head)))]], True
+    if case == "stalled head":
+        head = f"GET /healthz HTTP/1.1{eol}Host: x{eol}".encode()
+        return case, [head[: draw(st.integers(0, len(head)))]], False
+    if case == "invalid utf-8":
+        body = draw(st.sampled_from([b"\xff\xfe\xfd", b'{"image": "djinn/\xe9"}', b"\xc3"]))
+        return case, [_post_bytes(body, eol)], shut
+    if case == "non-object json":
+        body = draw(st.sampled_from([b"[]", b"[1, 2]", b"3", b'"djinn/face"', b"null", b"true"]))
+        return case, [_post_bytes(body, eol)], shut
+    if case == "unknown image":
+        image = draw(st.sampled_from(["rodinia/nope", "djinn/nope", "other/x", "noslash", ""]))
+        return case, [_post_bytes(json.dumps({"image": image}).encode(), eol)], shut
+    if case == "out-of-range number":
+        key, value = draw(st.sampled_from([
+            ("headroom", -1), ("headroom", "NaN"), ("scale", 1e12), ("scale", "Infinity"),
+            ("seed", "Infinity"), ("batch_size", 1e300), ("qos_threshold_ms", -5),
+        ]))
+        image = "djinn/face" if key in ("batch_size", "qos_threshold_ms") else "rodinia/lud"
+        literal = value if isinstance(value, str) else json.dumps(value)
+        body = f'{{"image": "{image}", "{key}": {literal}}}'.encode()
+        return case, [_post_bytes(body, eol)], shut
+    if case == "deep nesting":
+        return case, [_post_bytes(b"[" * draw(st.integers(5_000, 60_000)), eol)], shut
+    if case == "body over the cap":
+        from repro.serve.server import MAX_BODY_BYTES
+
+        length = MAX_BODY_BYTES + draw(st.integers(1, 10**6))
+        sent = draw(st.sampled_from([0, 1_000, MAX_BODY_BYTES + 1]))
+        head = f"POST /v1/pods HTTP/1.1{eol}Content-Length: {length}{eol}{eol}".encode()
+        return case, [head, b"[" * min(sent, length)], shut
+    if case == "head over the cap":
+        from repro.serve.server import MAX_HEAD_BYTES
+
+        filler = "a" * (MAX_HEAD_BYTES + draw(st.integers(1, 2_000)))
+        head = f"GET /healthz HTTP/1.1{eol}X-Filler: {filler}{eol}{eol}".encode()
+        return case, [head], shut
+    # Garbage whose method can match no route.
+    return case, [b"X" + draw(st.binary(max_size=300))], shut
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(malformed=_malformed())
+def test_malformed_requests_get_4xx_and_the_door_keeps_serving(fuzz_door, malformed):
+    case, chunks, shut = malformed
+    try:
+        answer = _exchange(fuzz_door.port, chunks, shut=shut, timeout=2.3)
+    except TimeoutError:
+        pytest.fail(f"{case}: no answer within the deadline")
+    assert 400 <= _status(answer) < 500, (case, answer[:200])
+    after = _exchange(fuzz_door.port, [_post_bytes(_VALID_POD)], timeout=5.0)
+    assert _status(after) == 202, (case, after[:200])
+
+
+def test_oversized_bodies_are_refused_before_they_are_read(fuzz_door):
+    from repro.serve.server import MAX_BODY_BYTES
+
+    head = f"POST /v1/pods HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+    answer = _exchange(fuzz_door.port, [head], timeout=5.0)     # no body byte sent
+    assert _status(answer) == 413
+    assert answer.endswith(f"request body over {MAX_BODY_BYTES} bytes\n".encode())
+    at_cap = _exchange(fuzz_door.port, [_post_bytes(b" " * (MAX_BODY_BYTES - 2) + b"{}")])
+    assert _status(at_cap) == 400                               # read, then invalid
+
+
+def test_deep_json_is_an_invalid_request():
+    from repro.serve import FrontDoor
+
+    cfg = ServeConfig(duration_s=None, paced=True, http=False, **SMALL)
+    svc = KnotsService(cfg)
+    status, ctype, body, _ = FrontDoor(svc)._submit(b"[" * 200_000)
+    assert (status, ctype) == (400, "application/json")
+    assert "recursion" in json.loads(body)["error"]
+    assert svc.slo.counts()["invalid"] == 1
+
+
+def test_stop_cuts_a_half_sent_request():
+    from repro.serve import FrontDoor
+
+    door = _door(FrontDoor)
+    with socket.create_connection(("127.0.0.1", door.port), timeout=5.0) as sock:
+        sock.sendall(b"POST /v1/pods HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"ima")
+        deadline = time.monotonic() + 5.0
+        while not door._conns and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert door._conns, "the connection never reached the front door"
+        started = time.monotonic()
+        door.stop()
+        assert time.monotonic() - started < 2.0
+        try:
+            data = sock.recv(1024)
+        except ConnectionResetError:
+            data = b""
+        assert data == b"", data
+
+
+def test_a_rejected_headroom_leaves_the_service_placing():
+    # A negative headroom must not reach a bind: its negative reservation
+    # would raise on the service thread and end the run, dropping every
+    # accepted pod.
+    from repro.serve import FrontDoor
+
+    cfg = ServeConfig(duration_s=None, paced=True, http=False, **SMALL)
+    svc = KnotsService(cfg)
+    front = FrontDoor(svc, "127.0.0.1", 0).start()
+    report_box = []
+    runner = threading.Thread(target=lambda: report_box.append(svc.run()), daemon=True)
+    runner.start()
+    try:
+        status, _, body = _post(f"{front.address}/v1/pods", {"image": "rodinia/lud", "headroom": -1})
+        assert status == 400, body
+        status, _, body = _post(f"{front.address}/v1/pods", {"image": "rodinia/lud", "seed": 4})
+        assert status == 202, body
+        deadline = time.monotonic() + 60.0
+        while svc.slo.counts()["placed"] < 1 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        svc.request_stop()
+        runner.join(timeout=60.0)
+        assert not runner.is_alive(), "service failed to drain"
+    finally:
+        svc.request_stop()
+        front.stop()
+    counts = report_box[0].counts
+    assert (counts["accepted"], counts["invalid"]) == (1, 1)
+    assert counts["placed"] == counts["submitted"] == 1
+    assert counts["dropped"] == 0
 
 
 # -- CLI / signal handling ----------------------------------------------------

@@ -306,6 +306,16 @@ class TestColumns:
         with pytest.raises(ValueError, match="one duration and one"):
             WorkloadTrace.from_columns("t", [1.0], [(0.1, 1, 0)])
 
+    @pytest.mark.parametrize("requested", [-1.0, -1e-9, float("nan"), float("inf"), float("-inf")])
+    def test_bad_requested_memory_raises(self, requested):
+        # A negative request would reach a bind as a negative reservation.
+        with pytest.raises(ValueError, match="requested memory must be finite and non-negative"):
+            WorkloadTrace.from_columns("t", [1.0], [(0.1, 1, 0, 0)], requested_mem_mb=requested)
+        with pytest.raises(ValueError, match="requested memory must be finite and non-negative"):
+            WorkloadTrace("t", phases_from([(10, 0.1, 100)]), requested_mem_mb=requested)
+        zero = WorkloadTrace.from_columns("t", [1.0], [(0.1, 1, 0, 0)], requested_mem_mb=0.0)
+        assert zero.requested_mem_mb == 0.0
+
     def test_pickle_round_trip_keeps_read_only_columns(self):
         import pickle
 
