@@ -10,10 +10,10 @@ object loop does not.
 
 One benchmark, ``quantum_tick``: for each node count the same run is
 timed around ``step_kubelets`` twice — once with the vectorized
-quantum engaged and once with it disabled post-construction (the
-unmodified ``Kubelet.step`` loop).  The gated field is the vectorized
-ms-per-tick at the largest scale; the object-path figure and the
-speedup ratio ride along per scale for the docs table.  Both variants
+quantum engaged and once with every tick routed through the object
+path (the unmodified ``Kubelet.step`` loop).  The gated field is the
+vectorized ms-per-tick at the largest scale; the object-path figure
+and the speedup ratio ride along per scale for the docs table.  Both variants
 produce bit-identical results (pinned by
 ``tests/test_quantum_equivalence.py``), so the comparison is pure
 substrate cost.
@@ -50,9 +50,9 @@ LOAD_PER_NODE = 0.25
 def _make_sim(num_nodes: int, engine: bool) -> KubeKnotsSimulator:
     """A density-preserving dense run on an ``num_nodes`` x 8 cluster.
 
-    ``engine=False`` detaches the vectorized quantum after
-    construction — the orchestrator then drives the unmodified
-    per-node ``Kubelet.step`` loop, which is the comparison baseline.
+    ``engine=False`` raises the quantum's ``min_batch`` out of reach,
+    so every tick takes the per-node ``Kubelet.step`` route — the
+    comparison baseline.
     """
     sim = KubeKnotsSimulator(
         make_paper_cluster(num_nodes=num_nodes, gpus_per_node=GPUS_PER_NODE),
@@ -64,9 +64,7 @@ def _make_sim(num_nodes: int, engine: bool) -> KubeKnotsSimulator:
         SimConfig(min_horizon_ms=20_000.0),
     )
     if not engine:
-        sim.orchestrator.quantum = None
-        for kubelet in sim.orchestrator.kubelets.values():
-            kubelet.engine = None
+        sim.orchestrator.quantum.min_batch = 1 << 30
     return sim
 
 
@@ -95,8 +93,8 @@ def _timed_tick_run(num_nodes: int, engine: bool) -> dict:
         "ticks": stats["ticks"],
         "ms_per_tick": stats["seconds"] / ticks * 1e3,
         "ms_run": e2e * 1e3,
-        "fast_ticks": quantum.fast_ticks if quantum is not None else 0,
-        "fallbacks": quantum.fallbacks if quantum is not None else 0,
+        "fast_ticks": quantum.fast_ticks,
+        "fallbacks": quantum.fallbacks,
     }
 
 

@@ -38,10 +38,12 @@ Design
 
 The engine leaves only the per-object ``gpu.last_sample`` stale
 between rare events, and no policy reads it (the ``Scheduler``
-device-state contract), so it engages in every run with observability
-and the sanitizer off, whatever the policy.  It composes with
-quiescence skipping: nodes with pods step every tick through the
-vectorized path, idle nodes keep their quiet horizons and legacy steps.
+device-state contract), so it engages in every run but a sanitized
+one, dark or observed, whatever the policy: within a tick the
+kubelet's metrics and trace events all come from the rare-event
+replay.  It composes with quiescence skipping: nodes with pods step
+every tick through the vectorized path, idle nodes keep their quiet
+horizons and legacy steps.
 
 This module must not import :mod:`repro.kube` (the kube layer imports
 cluster; an import back would cycle) — kubelets and pods arrive
@@ -181,9 +183,9 @@ class QuantumEngine:
         self._g_tx = np.zeros(tcap)
         self._g_rx = np.zeros(tcap)
 
-        #: Engagement counters (plain attributes: metrics are off
-        #: whenever the engine exists).  ``fast_ticks`` counts ticks
-        #: the vectorized advance ran over at least one hosting node;
+        #: Engagement counters, plain attributes (``SimResult`` and the
+        #: CLI report them).  ``fast_ticks`` counts ticks the
+        #: vectorized advance ran over at least one hosting node;
         #: ``fallbacks`` counts devices replayed through the object
         #: path for a rare event.
         self.fast_ticks = 0
@@ -375,8 +377,10 @@ class QuantumEngine:
         if pending.any():
             due_start = pending & (self._deadline[:n] <= now)
             if due_start.any():
-                for i in np.unique(self._node[:n][due_start]):
-                    kubelets[int(i)].start_due_pods(now)
+                # Ascending node order without ``np.unique``, whose plain
+                # form imports ``numpy.ma`` (about 1 MB of peak RSS).
+                for i in sorted(set(self._node[:n][due_start].tolist())):
+                    kubelets[i].start_due_pods(now)
 
         # 2. Demand rows: refresh slots whose progress crossed a phase
         # boundary (searchsorted against the trace's cumulative ends —

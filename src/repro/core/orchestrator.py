@@ -93,10 +93,10 @@ class KubeKnots:
         #: completion, failure) back through ``Kubelet.step_device``.
         #: It leaves only ``gpu.last_sample`` stale, which no policy
         #: reads (the :class:`Scheduler` device-state contract), so it
-        #: engages in every dark run; an observed or sanitized run keeps
-        #: the object tick.
+        #: engages in every run, dark or observed, except a sanitized
+        #: one: ``None`` means exactly that the sanitizer is armed.
         self.quantum: QuantumEngine | None = None
-        if self.obs.sanitizer is None and not self.obs.enabled:
+        if self.obs.sanitizer is None:
             self.quantum = QuantumEngine(
                 cluster, self._kubelet_list, self._quiet_until, self._epoch_seen
             )
@@ -183,27 +183,25 @@ class KubeKnots:
                     obs.clock.now = now
                     san.check_idle_pass(self.scheduler.schedule(self.build_context(now)))
             return []
-        if not obs.enabled:
-            ctx = self.build_context(now)
-            actions = self.scheduler.schedule(ctx)
-            for action in actions:
-                self._apply(action, now)
-            self._note_pass(ctx, actions)
-            return actions
-
-        obs.clock.now = now
-        obs.audit.begin_pass(self.scheduler.name, ts=now)
+        enabled = obs.enabled
         tracer = obs.tracer
-        if tracer.enabled:
-            tracer.begin("scheduling_pass", cat="scheduler", args={"policy": self.scheduler.name})
+        if enabled:
+            obs.clock.now = now
+            obs.audit.begin_pass(self.scheduler.name, ts=now)
+            if tracer.enabled:
+                tracer.begin(
+                    "scheduling_pass", cat="scheduler", args={"policy": self.scheduler.name}
+                )
         ctx = self.build_context(now)
         actions = self.scheduler.schedule(ctx)
         for action in actions:
             self._apply(action, now)
-            self._m_actions.inc(kind=type(action).__name__.lower())
-        self._m_passes.inc()
-        if tracer.enabled:
-            tracer.end(args={"pending": len(ctx.pending), "actions": len(actions)})
+        if enabled:
+            for action in actions:
+                self._m_actions.inc(kind=type(action).__name__.lower())
+            self._m_passes.inc()
+            if tracer.enabled:
+                tracer.end(args={"pending": len(ctx.pending), "actions": len(actions)})
         self._note_pass(ctx, actions)
         return actions
 
@@ -222,8 +220,8 @@ class KubeKnots:
         """The earliest time a kubelet step or a scheduling pass could
         act if nothing new arrives.
 
-        Mirrors the two branches of :meth:`step_kubelets`.  In a dark or
-        observed run a node steps when its epoch moved or its quiet
+        Mirrors the two branches of :meth:`step_kubelets`.  In an
+        unsanitized run a node steps when its epoch moved or its quiet
         horizon passed, and a pass that would repeat the last no-op is
         skipped: ``-inf`` when the next pass would not repeat it or a
         node epoch moved since that node's last step, else the earliest
@@ -276,8 +274,10 @@ class KubeKnots:
         is skipped until its horizon passes or its devices are mutated
         externally — any bind/resize/sleep/wake/fail/repair bumps the
         node's epoch in :class:`~repro.cluster.state.ClusterState`,
-        which re-arms stepping on the next tick.  Under the sanitizer
-        every node steps every tick, exactly like the legacy loop.
+        which re-arms stepping on the next tick.  The due nodes step
+        through :class:`QuantumEngine`, which sends sparse ticks and
+        empty nodes through ``Kubelet.step``.  Under the sanitizer every
+        node steps every tick through ``Kubelet.step``.
         """
         state = self.cluster.state
         if self.obs.sanitizer is not None:
@@ -292,18 +292,7 @@ class KubeKnots:
         due_idx = self._due_nodes(now)
         if len(due_idx):
             stepped_gen = state.epoch_gen
-            prev = self._prev_tick_now
-            if self.quantum is not None:
-                victims = self.quantum.step_due(now, dt_ms, prev, due_idx)
-            else:
-                epochs = state.node_epoch
-                kubelets = self._kubelet_list
-                victims = []
-                for i in due_idx:
-                    kubelet = kubelets[i]
-                    victims.extend(kubelet.step(now, dt_ms, prev))
-                    self._quiet_until[i] = kubelet.quiet_horizon(now, dt_ms)
-                    self._epoch_seen[i] = epochs[i]
+            victims = self.quantum.step_due(now, dt_ms, self._prev_tick_now, due_idx)
             self._note_step(due_idx, stepped_gen)
             if victims:
                 self._co_evict_gangs(victims, now)

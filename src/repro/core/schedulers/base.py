@@ -131,7 +131,7 @@ class Scheduler(ABC):
     never through the GPU objects.  The vectorized execution quantum
     (:mod:`repro.cluster.quantum`) keeps those exact but lets
     ``gpu.last_sample`` go stale between rare events, and it engages in
-    every dark, unsanitized run whatever the policy.
+    every unsanitized run, observed or dark, whatever the policy.
     """
 
     #: Human-readable name used in reports and experiment tables.

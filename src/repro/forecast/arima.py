@@ -95,62 +95,93 @@ def fit_ar1_at_lag(window: np.ndarray, lag: int) -> Arima1:
     return Arima1(mu=mu, phi=phi, n_obs=n)
 
 
+# Largest ratio of the window's second moment about the shift to the
+# lag variance that the rolling sums may carry.  Cancellation in
+# ``E[d**2] - mean**2`` costs about log10 of this ratio in digits, and
+# ``refresh_every`` (<= 1024) slides of drift add at most ~2e-13 of
+# relative error per unit ratio, so at 64 phi stays within ~3e-11 of the
+# batch fit; windows past it are handed to :func:`fit_ar1`.
+_MAX_CANCELLATION = 64.0
+
+
 def fit_ar1_from_stats(
-    n: int, s1: float, s2: float, c: float, first: float, last: float
-) -> Arima1:
+    n: int, s1: float, s2: float, c: float, first: float, last: float,
+    shift: float = 0.0,
+) -> Arima1 | None:
     """Eq. 3 fit from sufficient statistics of a window ``y`` of length ``n``.
 
-    ``s1 = sum(y)``, ``s2 = sum(y**2)``, ``c = sum(y[1:] * y[:-1])``,
-    ``first = y[0]``, ``last = y[-1]``.  The lag-1 pairs' moments all
-    derive from these: ``sum(y[:-1]) = s1 - last``,
-    ``sum(y[:-1]**2) = s2 - last**2``, ``sum(y[1:]) = s1 - first``.
+    The statistics are taken about ``shift``, with ``d = y - shift``:
+    ``s1 = sum(d)``, ``s2 = sum(d**2)``, ``c = sum(d[1:] * d[:-1])``,
+    ``first = d[0]``, ``last = d[-1]``.  The lag-1 pairs' moments all
+    derive from these: ``sum(d[:-1]) = s1 - last``,
+    ``sum(d[:-1]**2) = s2 - last**2``, ``sum(d[1:]) = s1 - first``.
 
     Degenerate handling mirrors :func:`fit_ar1`: fewer than 3 points or
-    a (near-)constant lag series produce a persistence forecast.  The
-    arithmetic differs from the batch path only in summation order, so
-    results agree to ~1e-12 on utilization-scale data (the equivalence
-    the property tests assert at 1e-9).
+    a (near-)constant lag series produce a persistence forecast.
+    Returns None when the lag variance is too small beside ``s2`` for
+    the sums to resolve it (see ``_MAX_CANCELLATION``); otherwise the
+    result agrees with the batch fit to well within 1e-9 on
+    utilization-scale data (the equivalence the property tests assert).
     """
     if n == 0:
         return Arima1(mu=0.0, phi=0.0, n_obs=0)
     if n < 3:
-        return Arima1(mu=s1 / n, phi=0.0, n_obs=n)
+        return Arima1(mu=shift + s1 / n, phi=0.0, n_obs=n)
     m = n - 1
     mean_prev = (s1 - last) / m
     mean_next = (s1 - first) / m
     var = (s2 - last * last) / m - mean_prev * mean_prev
+    if s2 > _MAX_CANCELLATION * m * var:
+        return None
     if var <= 1e-12:
-        return Arima1(mu=mean_next, phi=0.0, n_obs=n)
+        return Arima1(mu=shift + mean_next, phi=0.0, n_obs=n)
     cov = c / m - mean_prev * mean_next
     phi = float(np.clip(cov / var, -1.0, 1.0))
-    mu = mean_next - phi * mean_prev
+    mu = (shift + mean_next) - phi * (shift + mean_prev)
     return Arima1(mu=mu, phi=phi, n_obs=n)
 
 
 class _Ar1State:
-    """Rolling sufficient statistics of one device's sliding window."""
+    """Rolling sufficient statistics of one device's sliding window.
 
-    __slots__ = ("times", "values", "s1", "s2", "c", "updates", "model")
+    The sums are kept about ``shift`` (the window mean at the last
+    rebuild) rather than about zero: utilization windows sit far from
+    zero with a small spread, and raw sums would lose that spread to
+    cancellation.
+    """
+
+    __slots__ = ("times", "values", "shift", "s1", "s2", "c", "updates", "model")
 
     def __init__(self, times: np.ndarray, values: np.ndarray) -> None:
         self.rebuild(times, values)
 
     def rebuild(self, times: np.ndarray, values: np.ndarray) -> None:
-        """Exact batch (re)computation — the cache-miss path."""
+        """Batch (re)computation — the cache-miss path.
+
+        Re-centres the sums on the window mean; a window that even
+        fresh sums cannot resolve is fitted by :func:`fit_ar1`.
+        """
+        n = len(values)
+        shift = float(values.mean()) if n else 0.0
+        d = values - shift
         self.times = times
         self.values = values
-        self.s1 = float(values.sum())
-        self.s2 = float(values @ values)
-        self.c = float(values[1:] @ values[:-1]) if len(values) > 1 else 0.0
+        self.shift = shift
+        self.s1 = float(d.sum())
+        self.s2 = float(d @ d)
+        self.c = float(d[1:] @ d[:-1]) if n > 1 else 0.0
         self.updates = 0
-        self.model = self._fit()
+        model = self._fit(values, self.s1, self.s2, self.c)
+        self.model = fit_ar1(values) if model is None else model
 
-    def _fit(self) -> Arima1:
-        v = self.values
-        n = len(v)
+    def _fit(self, values: np.ndarray, s1: float, s2: float, c: float) -> Arima1 | None:
+        n = len(values)
+        shift = self.shift
         return fit_ar1_from_stats(
-            n, self.s1, self.s2, self.c,
-            float(v[0]) if n else 0.0, float(v[-1]) if n else 0.0,
+            n, s1, s2, c,
+            float(values[0]) - shift if n else 0.0,
+            float(values[-1]) - shift if n else 0.0,
+            shift,
         )
 
     def matches(self, times: np.ndarray) -> bool:
@@ -166,11 +197,12 @@ class _Ar1State:
     def slide(self, times: np.ndarray, values: np.ndarray) -> bool:
         """O(evicted + appended) update to a forward-slid window.
 
-        Returns False when the new window is not a forward slide sharing
-        at least half its points with the old one (then the caller falls
-        back to :meth:`rebuild`).  Eviction removes the old prefix's
-        contribution — including its lag-1 pairs and the bridge pair —
-        and appending adds the new suffix's.
+        Returns False, leaving the state untouched, when the new window
+        is not a forward slide sharing at least half its points with the
+        old one, or when the slid sums cannot resolve it; the caller
+        then falls back to :meth:`rebuild`.  Eviction removes the old
+        prefix's contribution — including its lag-1 pairs and the bridge
+        pair — and appending adds the new suffix's.
         """
         old_t, old_v = self.times, self.values
         n_old, n_new = len(old_t), len(times)
@@ -190,21 +222,29 @@ class _Ar1State:
             or times[keep - 1] != old_t[-1]
         ):
             return False
+        shift = self.shift
+        s1, s2, c = self.s1, self.s2, self.c
         if evict:
-            gone = old_v[:evict]
-            self.s1 -= float(gone.sum())
-            self.s2 -= float(gone @ gone)
+            gone = old_v[: evict + 1] - shift
+            head = gone[:evict]
+            s1 -= float(head.sum())
+            s2 -= float(head @ head)
             # Pairs (i-1, i) for i = 1..evict vanish with the prefix.
-            self.c -= float(old_v[1 : evict + 1] @ old_v[:evict])
+            c -= float(gone[1:] @ head)
         if appended:
-            new = values[keep:]
-            self.s1 += float(new.sum())
-            self.s2 += float(new @ new)
-            self.c += float(values[keep:] @ values[keep - 1 : -1])
+            new = values[keep - 1 :] - shift
+            tail = new[1:]
+            s1 += float(tail.sum())
+            s2 += float(tail @ tail)
+            c += float(tail @ new[:-1])
+        model = self._fit(values, s1, s2, c)
+        if model is None:
+            return False
         self.times = times
         self.values = values
+        self.s1, self.s2, self.c = s1, s2, c
         self.updates += 1
-        self.model = self._fit()
+        self.model = model
         return True
 
 

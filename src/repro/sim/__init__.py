@@ -2,7 +2,7 @@
 
 from repro.sim.dlsim import DLClusterSimulator, DLSimResult, make_dl_policy, run_dl_comparison
 from repro.sim.engine import EventHandle, EventLoop, RepeatingEvent, SimulationError
-from repro.sim.harness import FaultPlan, GridOneShot, GridPeriodic, TickHarness, run_until_idle
+from repro.sim.harness import FaultPlan, GridOneShot, TickHarness, run_until_idle
 from repro.sim.simulator import KubeKnotsSimulator, SimConfig, SimResult, run_appmix
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "RepeatingEvent",
     "SimulationError",
     "TickHarness",
-    "GridPeriodic",
     "GridOneShot",
     "FaultPlan",
     "run_until_idle",

@@ -10,10 +10,11 @@ holds the scaffolding they share:
 * :class:`TickHarness` — owns the per-tick chains of a fixed-quantum
   simulator and the grid bookkeeping (``last_tick`` / ``next_tick``)
   that quantizes raw-time events onto the tick grid.
-* :class:`GridPeriodic` — a recurring activity with its own interval
-  (heartbeats, scheduling passes) that executes at the first tick at or
-  after each due time, exactly like the old loop's
-  ``if t >= next_due: ...; next_due = t + interval`` bookkeeping.
+* :class:`PhaseGate` — the cadence of a recurring phase with its own
+  interval (heartbeats, scheduling passes) run inside the tick
+  callback: it executes at the first tick at or after each due time,
+  exactly like the old loop's ``if t >= next_due: ...;
+  next_due = t + interval`` bookkeeping.
 * :class:`GridOneShot` — a single raw-time event (a device fault, a
   repair) deferred onto the tick grid the same way.
 * :class:`FaultPlan` — schedules a failure-injection plan as
@@ -50,13 +51,11 @@ __all__ = [
     "PHASE_SCHEDULE",
     "PHASE_TICK_END",
     "TickHarness",
-    "GridPeriodic",
     "PhaseGate",
     "GridOneShot",
     "FaultPlan",
     "CapacityPlan",
     "run_until_idle",
-    "run_paced",
 ]
 
 # Phase order of the original tick loop, as same-instant priorities.
@@ -86,9 +85,9 @@ class TickHarness:
     """Tick-grid scaffolding on a shared :class:`EventLoop`.
 
     Owns the execution-quantum chain plus any extra per-tick chains
-    (:meth:`every_tick`) and grid-quantized periodics
-    (:meth:`periodic`).  :meth:`skip_to` moves every per-tick chain at
-    once — the idle fast-forward hook.
+    (:meth:`every_tick`) and grid-quantized one-shots (:meth:`at`).
+    :meth:`skip_to` moves every per-tick chain at once — the idle
+    fast-forward hook.
     """
 
     __slots__ = ("loop", "tick_ms", "last_tick", "_user_quantum", "_quantum", "_chains")
@@ -133,16 +132,6 @@ class TickHarness:
         self._chains.append(chain)
         return chain
 
-    def periodic(
-        self,
-        interval: float,
-        callback: Callable[[float], None],
-        priority: int,
-        start_due: float | None = None,
-    ) -> "GridPeriodic":
-        due = self.loop.now if start_due is None else start_due
-        return GridPeriodic(self, interval, callback, priority, due)
-
     def at(
         self, when: float, callback: Callable[..., None], *args, priority: int
     ) -> "GridOneShot":
@@ -154,66 +143,6 @@ class TickHarness:
             chain.skip_to(when)
 
 
-class GridPeriodic:
-    """A recurring activity quantized to the tick grid.
-
-    Executes at the first tick at or after each due time; the next due
-    time is ``executed_tick + interval`` — exactly the old loop's
-    ``if t >= next_due`` bookkeeping, so heartbeat/scheduling cadences
-    are bit-identical to the reference loop even when ``interval`` is
-    not a multiple of ``tick_ms``.
-    """
-
-    __slots__ = ("harness", "interval", "callback", "priority", "next_due", "_handle", "_cancelled")
-
-    def __init__(
-        self,
-        harness: TickHarness,
-        interval: float,
-        callback: Callable[[float], None],
-        priority: int,
-        start_due: float,
-    ) -> None:
-        if interval <= 0:
-            raise SimulationError(f"periodic interval must be positive, got {interval}")
-        self.harness = harness
-        self.interval = float(interval)
-        self.callback = callback
-        self.priority = priority
-        self._cancelled = False
-        self.next_due = float(start_due)
-        self._handle: EventHandle = harness.loop.schedule_at(
-            self.next_due, self._fire, priority=priority
-        )
-
-    def _fire(self) -> None:
-        harness = self.harness
-        loop = harness.loop
-        now = loop.now
-        if not harness.on_grid(now):
-            # Between ticks: the old loop would only notice at the next
-            # tick — land there, same phase slot.
-            self._handle = loop._schedule_fast(harness.next_tick, self._fire, self.priority)
-            return
-        self.next_due = now + self.interval
-        self._handle = loop._schedule_fast(self.next_due, self._fire, self.priority)
-        self.callback(now)
-
-    def cancel(self) -> None:
-        self._cancelled = True
-        self._handle.cancel()
-
-    def resync(self, next_due: float) -> None:
-        """Re-aim the recurrence after a fast-forward advanced its due
-        bookkeeping past the skipped span."""
-        if self._cancelled:
-            return
-        self._handle.cancel()
-        self.next_due = float(next_due)
-        when = max(self.next_due, self.harness.loop.now)
-        self._handle = self.harness.loop.schedule_at(when, self._fire, priority=self.priority)
-
-
 class PhaseGate:
     """Cadence bookkeeping for a periodic phase *fused into* a tick
     callback, instead of carrying its own event chain.
@@ -223,10 +152,11 @@ class PhaseGate:
     guarantees: faults/repairs/submissions are phases 0–2, the fused
     quantum..tick-end run is phases 3–7), the phases inside the tick
     are contiguous — no event can interleave between them — so a
-    :class:`GridPeriodic` chain degenerates to the reference loop's
-    plain ``if t >= next_due: ...; next_due = t + interval`` check.
-    This class is that check, with the same :attr:`next_due` /
-    :meth:`resync` surface the fast-forward path drives.
+    periodic phase reduces to the reference loop's plain
+    ``if t >= next_due: ...; next_due = t + interval`` check.  This
+    class is that check; the fast-forward path re-aims it with
+    :meth:`resync`.  The simulator and the serve loop pace their
+    heartbeats and scheduling passes with it.
     """
 
     __slots__ = ("interval", "next_due")
@@ -445,18 +375,3 @@ def run_until_idle(loop: EventLoop, max_events: int | None = None) -> int:
     Returns the number of events fired.
     """
     return loop.run(max_events=max_events)
-
-
-def run_paced(
-    loop: EventLoop, pacer: Callable[[float], None], max_events: int | None = None
-) -> int:
-    """Run ``loop`` at wall clock: ``pacer(when)`` blocks before each
-    event until its sim time is due in wall terms.
-
-    The serving layer (:mod:`repro.serve`) drives its tick harness this
-    way — the same event chains as the offline simulators, paced
-    against a host clock injected from outside the sim-critical
-    packages.  Returns the number of events fired (the run ends on
-    :meth:`~repro.sim.engine.EventLoop.stop` or a drained heap).
-    """
-    return loop.run_paced(pacer, max_events=max_events)

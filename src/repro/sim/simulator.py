@@ -125,8 +125,9 @@ class SimResult:
     gpu_util_series: dict[str, np.ndarray]    # gpu_id -> sm_util samples
     gpu_mem_series: dict[str, np.ndarray]     # gpu_id -> mem_util samples
     sample_times_ms: np.ndarray
-    #: Ticks the vectorized execution quantum handled (0 when the
-    #: engine was disengaged or never left the object path).  Substrate
+    #: Ticks the vectorized execution quantum handled (0 in a sanitized
+    #: run, which has no engine, or when every tick took the object
+    #: path).  Observed and dark runs count the same.  Substrate
     #: accounting, not an output — excluded from equality on purpose so
     #: fast-on and fast-off runs still compare identical.
     fast_quantum_ticks: int = field(default=0, compare=False)

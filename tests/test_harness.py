@@ -7,10 +7,10 @@ import pytest
 from repro.sim.engine import EventLoop
 from repro.sim.harness import (
     PHASE_FAULT,
-    PHASE_HEARTBEAT,
     PHASE_QUANTUM,
     PHASE_REPAIR,
     FaultPlan,
+    PhaseGate,
     TickHarness,
     run_until_idle,
 )
@@ -81,48 +81,47 @@ class TestTickHarness:
         assert records == [0.0, 10.0, 20.0, 100.0, 110.0]
 
 
-class TestGridPeriodic:
+def _gated_beats(interval: float, horizon: float, tick_end=None):
+    """Ticks at which a :class:`PhaseGate` checked in the tick callback
+    runs its phase, on a 10 ms grid stopped at ``horizon``.
+    ``tick_end(now, harness, gate)`` runs in the last phase slot."""
+    loop = EventLoop()
+    gate = PhaseGate(interval, start_due=0.0)
+    beats: list[float] = []
+
+    def on_tick(now: float) -> None:
+        if gate.due(now):
+            beats.append(now)
+
+    def end(now: float) -> None:
+        if tick_end is not None:
+            tick_end(now, harness, gate)
+        if now >= horizon:
+            loop.stop()
+
+    harness = TickHarness(loop, 10.0, on_tick)
+    harness.every_tick(end, priority=99)
+    run_until_idle(loop)
+    return beats
+
+
+class TestPhaseGate:
     def test_interval_multiple_of_tick_fires_each_due_tick(self):
-        loop, harness, _ = make_harness(tick_ms=10.0, horizon=60.0)
-        beats = []
-        harness.periodic(20.0, beats.append, priority=PHASE_HEARTBEAT)
-        run_until_idle(loop)
-        assert beats == [0.0, 20.0, 40.0, 60.0]
+        assert _gated_beats(20.0, horizon=60.0) == [0.0, 20.0, 40.0, 60.0]
 
     def test_off_grid_interval_lands_on_first_tick_after_due(self):
-        """interval=25 on a 10ms grid: due times 0, 25, 50, ... execute
+        """interval=25 on a 10ms grid: due times 0, 25, 55, ... execute
         at ticks 0, 30, 60 ... — `next_due = executed + interval`,
         exactly the old `if t >= next_due` bookkeeping."""
-        loop, harness, _ = make_harness(tick_ms=10.0, horizon=120.0)
-        beats = []
-        harness.periodic(25.0, beats.append, priority=PHASE_HEARTBEAT)
-        run_until_idle(loop)
-        assert beats == [0.0, 30.0, 60.0, 90.0, 120.0]
+        assert _gated_beats(25.0, horizon=120.0) == [0.0, 30.0, 60.0, 90.0, 120.0]
 
     def test_resync_reaims_after_skip(self):
-        loop = EventLoop()
-        beats = []
-
-        def tick_end(now: float) -> None:
+        def skip(now, harness, gate):
             if now == 20.0:
                 harness.skip_to(100.0)
-                hb.resync(120.0)
-            if now >= 130.0:
-                loop.stop()
+                gate.resync(120.0)
 
-        harness = TickHarness(loop, 10.0, lambda now: None)
-        harness.every_tick(tick_end, priority=99)
-        hb = harness.periodic(20.0, beats.append, priority=PHASE_HEARTBEAT)
-        run_until_idle(loop)
-        assert beats == [0.0, 20.0, 120.0]
-
-    def test_cancel_stops_execution(self):
-        loop, harness, _ = make_harness(tick_ms=10.0, horizon=50.0)
-        beats = []
-        hb = harness.periodic(10.0, beats.append, priority=PHASE_HEARTBEAT)
-        loop.schedule_at(25.0, hb.cancel)
-        run_until_idle(loop)
-        assert beats == [0.0, 10.0, 20.0]
+        assert _gated_beats(20.0, horizon=130.0, tick_end=skip) == [0.0, 20.0, 120.0]
 
 
 class TestGridOneShot:

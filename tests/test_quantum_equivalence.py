@@ -13,6 +13,11 @@ victim selection — to their scalar references.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -75,9 +80,7 @@ def _run_pair(tag: str, min_batch: int | None = 0, **kw) -> None:
         assert engine.fast_ticks > 0, f"{tag}: vectorized path never ran"
 
     slow = _build(**kw)
-    slow.orchestrator.quantum = None
-    for kubelet in slow.orchestrator.kubelets.values():
-        kubelet.engine = None
+    slow.orchestrator.quantum.min_batch = 1 << 30
     result_slow = slow.run()
 
     assert_kk_identical(result_fast, result_slow, tag)
@@ -130,8 +133,8 @@ def _two_node_events(fast: bool) -> list[tuple]:
 
     ``uniform`` gives each pod a device of its own in node order, so
     pod-2 lands on node2 while pod-1 still runs.  ``fast`` forces every
-    tick through the quantum (``min_batch=0``); otherwise the object
-    tick runs alone.
+    tick through the quantum (``min_batch=0``); otherwise every tick
+    takes the object tick.
     """
     workload = [
         (0.0, make_spec(name="a", image="img/a", duration_ms=110.0, mem_mb=1_000.0)),
@@ -143,12 +146,7 @@ def _two_node_events(fast: bool) -> list[tuple]:
         workload,
         SimConfig(min_horizon_ms=2_000.0),
     )
-    if fast:
-        sim.orchestrator.quantum.min_batch = 0
-    else:
-        sim.orchestrator.quantum = None
-        for kubelet in sim.orchestrator.kubelets.values():
-            kubelet.engine = None
+    sim.orchestrator.quantum.min_batch = 0 if fast else 1 << 30
     sim.run()
     return [(e.time, e.type.value, e.pod_uid, e.detail) for e in sim.orchestrator.api.events]
 
@@ -184,9 +182,16 @@ class TestEngagement:
         sim = _build(sched_name=sched)
         assert sim.orchestrator.quantum is not None
 
-    def test_disengaged_under_observability(self):
-        sim = _build(obs=Observability(trace=False, metrics=False, audit=True))
-        assert sim.orchestrator.quantum is None
+    def test_engages_under_observability(self):
+        """Observing a run, with any sink, does not change its kubelet
+        tick."""
+        for sink in ("trace", "metrics", "audit"):
+            flags = {"trace": False, "metrics": False, "audit": False, sink: True}
+            sim = _build(obs=Observability(**flags))
+            engine = sim.orchestrator.quantum
+            assert engine is not None, sink
+            for kubelet in sim.orchestrator.kubelets.values():
+                assert kubelet.engine is engine, sink
 
     def test_disengaged_under_sanitizer(self):
         sim = _build(
@@ -208,6 +213,40 @@ class TestEngagement:
         result = sim.run()
         assert result is not None
         assert sim.orchestrator.quantum.fast_ticks == 0
+
+
+def test_a_fast_run_leaves_numpy_ma_unimported():
+    """A fast tick that starts pods does not import ``numpy.ma``, as
+    NumPy's plain ``np.unique`` does on its first call (about 1 MB of
+    peak RSS).  Checked in a fresh interpreter, since another test may
+    have imported it already."""
+    code = textwrap.dedent(
+        """
+        import sys
+
+        from repro.cluster.cluster import make_paper_cluster
+        from repro.core.schedulers import make_scheduler
+        from repro.sim.simulator import KubeKnotsSimulator, SimConfig
+        from repro.workloads.appmix import generate_appmix_workload
+
+        sim = KubeKnotsSimulator(
+            make_paper_cluster(num_nodes=8, gpus_per_node=8),
+            make_scheduler("cbp"),
+            generate_appmix_workload("app-mix-1", duration_s=1.0, seed=3, load_factor=8.0),
+            SimConfig(min_horizon_ms=2_000.0),
+        )
+        sim.orchestrator.quantum.min_batch = 0
+        print(sim.run().fast_quantum_ticks, "numpy.ma" in sys.modules)
+        """
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    ).stdout.split()
+    assert int(out[0]) > 0, "the vectorized path never ran"
+    assert out[1] == "False", "the run imported numpy.ma"
 
 
 def _checked_compactions(monkeypatch) -> list:

@@ -527,6 +527,7 @@ class TestFrontDoorE2E:
         try:
             with pytest.raises(urllib.error.HTTPError) as err:
                 _get(f"{front.address}/nope")
+            err.value.close()
             assert err.value.code == 404
         finally:
             front.stop()
