@@ -29,10 +29,10 @@ paper's results silently rely on:
     negative.
 ``fast_forward_quiescence``
     In a sanitized run the cluster simulator only fast-forwards its
-    tick chains when the cluster is provably quiescent (every submitted
-    pod finished, every device asleep or failed) and only to a strictly
-    later time.  (Dark and observed runs also skip spans with a device
-    awake; see ``KubeKnots.idle_until``.)
+    tick chains when the cluster is provably quiescent (no pod bound,
+    every device asleep or failed, any pending pods held) and only to a
+    strictly later time.  (Dark and observed runs also skip spans with
+    a device awake; see ``KubeKnots.idle_until``.)
 ``capacity_conservation``
     After a capacity transition (cordon/reclaim/restore): no failed
     device still holds allocations, per-node Σ allocations fits the
@@ -41,8 +41,9 @@ paper's results silently rely on:
     silently dropped.
 ``idle_pass_noop``
     A scheduling pass the orchestrator skips as a repeat of the last
-    no-op pass (nothing pending, no node epoch moved) really is one:
-    the policy, asked anyway, returns no actions.
+    no-op pass (no input that pass read moved: node epochs, the pending
+    queue, the profiles and, where it read them, the sample columns)
+    really is one: the policy, asked anyway, returns no actions.
 ``mirror_consistency``
     Every device view of Algorithm 1's sorted list, built from the
     ``ClusterState`` columns, equals what its GPU object reports: free
@@ -396,11 +397,14 @@ class Sanitizer:
     # -- idle fast-forward and skipped passes ---------------------------------
 
     def check_fast_forward(
-        self, now: float, target: float, all_done: bool, devices_parked: bool
+        self, now: float, target: float, no_pod_bound: bool, devices_parked: bool,
+        queue_held: bool,
     ) -> None:
         """A fast-forward must jump strictly forward and only from a
-        quiescent cluster (all pods finished, all devices asleep or
-        failed) — otherwise skipped ticks would not have been no-ops."""
+        quiescent cluster (no pod bound, all devices asleep or failed,
+        and any pending pods held: no pass could place one before an
+        input changes) — otherwise skipped ticks would not have been
+        no-ops."""
         self.checks += 1
         if target <= now + _EPS:
             self.violation(
@@ -408,11 +412,12 @@ class Sanitizer:
                 "fast-forward target not ahead of current time",
                 now=now, target=target,
             )
-        if not (all_done and devices_parked):
+        if not (no_pod_bound and devices_parked and queue_held):
             self.violation(
                 "fast_forward_quiescence",
                 "fast-forward attempted on a non-quiescent cluster",
-                all_done=all_done, devices_parked=devices_parked,
+                no_pod_bound=no_pod_bound, devices_parked=devices_parked,
+                queue_held=queue_held,
             )
 
     def check_idle_pass(self, actions: Sequence[Any]) -> None:

@@ -74,14 +74,28 @@ class Knots:
     ) -> None:
         self.cluster = cluster
         self.config = config or KnotsConfig()
-        self.obs = obs or NOOP
+        self.bind_observability(obs or NOOP)
         self.state = cluster.state
         #: Every device's telemetry, one column per ClusterState row.
         self.matrix = MatrixTelemetry(
             self.state, self.config.heartbeat_ms, self.config.window_ms
         )
         self.profiles = ProfileStore()
-        metrics = self.obs.metrics
+        #: Reads served so far: telemetry-ring windows (:meth:`query`,
+        #: :meth:`memory_window`) and Algorithm 1 device lists
+        #: (:meth:`all_gpus_by_free_memory`).  The orchestrator compares
+        #: them across a pass to learn which inputs the pass read.
+        self.window_reads = 0
+        self.view_reads = 0
+        # Static view columns, in ClusterState row order.
+        self._view_ids = np.array(self.state.gpu_ids, dtype=object)
+        self._view_nodes = np.array(self.state.node_ids, dtype=object)[self.state.node_of]
+
+    def bind_observability(self, obs: Observability) -> None:
+        """Count heartbeats and reads into ``obs``'s metrics and check
+        windows and views with its sanitizer."""
+        self.obs = obs
+        metrics = obs.metrics
         self._m_heartbeats = metrics.counter(
             "knots_heartbeats_total", "Monitoring-plane sampling rounds"
         )
@@ -91,9 +105,6 @@ class Knots:
         self._m_snapshots = metrics.counter(
             "aggregator_snapshots_total", "Instantaneous cluster snapshots served"
         )
-        # Static view columns, in ClusterState row order.
-        self._view_ids = np.array(self.state.gpu_ids, dtype=object)
-        self._view_nodes = np.array(self.state.node_ids, dtype=object)[self.state.node_of]
 
     # -- monitoring plane ---------------------------------------------------
 
@@ -115,6 +126,7 @@ class Knots:
     def _windows(self, gpu_id: str, metrics: tuple[str, ...], now: float) -> dict[str, SeriesWindow]:
         """The last ``window_ms`` of ``metrics`` for one device; an
         unknown ``gpu_id`` raises ``KeyError``."""
+        self.window_reads += 1
         windows = self.matrix.query(
             self.state.index[gpu_id], metrics, now - self.config.window_ms, now
         )
@@ -152,6 +164,7 @@ class Knots:
         against its GPU object (``mirror_consistency``) and for memory
         conservation.
         """
+        self.view_reads += 1
         self._m_snapshots.inc()
         cs = self.state
         free = cs.mem_capacity_mb - cs.alloc_mb

@@ -73,11 +73,12 @@ class KubeKnots:
         self._node_starts = np.array(
             [start for start, _ in cluster.state.node_slices], dtype=np.intp
         )
-        #: ``state.epoch_gen`` after the last executed pass when that
-        #: pass had nothing pending and returned no actions, else
-        #: ``None``: while it still matches and nothing is pending, a
-        #: pass would repeat that no-op (see :meth:`_repeats_noop`).
-        self._noop_gen: int | None = None
+        #: The generations of the inputs the last executed pass read
+        #: (:meth:`_inputs`) when it returned no actions and is not
+        #: barred from holding (:meth:`_note_pass`), else ``None``:
+        #: while they still match, a pass would repeat that no-op (see
+        #: :meth:`_repeats_noop`).
+        self._hold: tuple[int, int, int, int] | None = None
         #: ``state.epoch_gen`` when every node epoch was last seen by a
         #: step (``node_epoch == _epoch_seen``), -1 before the first.
         self._seen_gen = -1
@@ -102,6 +103,9 @@ class KubeKnots:
             )
             for kubelet in self._kubelet_list:
                 kubelet.engine = self.quantum
+        #: What the sanitizer's re-run of a skipped pass reports into
+        #: (:meth:`_rerun_skipped`): its checks, and nothing else.
+        self._checks_only = self.obs.checks_only() if self.obs.sanitizer is not None else None
         metrics = self.obs.metrics
         self._m_passes = metrics.counter(
             "scheduler_passes_total", "Scheduling passes executed"
@@ -169,10 +173,11 @@ class KubeKnots:
         """Run one policy pass and apply its actions.  Returns them.
 
         A pass that would repeat a no-op returns ``[]`` without building
-        a context or calling the policy (:meth:`_repeats_noop`).  Under
-        the sanitizer a skipped pass still asks the policy, and any
-        action it returns is reported as an ``idle_pass_noop``
-        violation instead of being applied.
+        a context or calling the policy (:meth:`_repeats_noop`): an idle
+        pass, or a held queue.  Under the sanitizer a skipped pass still
+        asks the policy (:meth:`_rerun_skipped`), and any action it
+        returns is reported as an ``idle_pass_noop`` violation instead
+        of being applied.
         """
         obs = self.obs
         if self._repeats_noop():
@@ -181,7 +186,7 @@ class KubeKnots:
                 san = obs.sanitizer
                 if san is not None:
                     obs.clock.now = now
-                    san.check_idle_pass(self.scheduler.schedule(self.build_context(now)))
+                    san.check_idle_pass(self._rerun_skipped(now))
             return []
         enabled = obs.enabled
         tracer = obs.tracer
@@ -192,6 +197,8 @@ class KubeKnots:
                 tracer.begin(
                     "scheduling_pass", cat="scheduler", args={"policy": self.scheduler.name}
                 )
+        knots = self.knots
+        windows, views = knots.window_reads, knots.view_reads
         ctx = self.build_context(now)
         actions = self.scheduler.schedule(ctx)
         for action in actions:
@@ -202,19 +209,80 @@ class KubeKnots:
             self._m_passes.inc()
             if tracer.enabled:
                 tracer.end(args={"pending": len(ctx.pending), "actions": len(actions)})
-        self._note_pass(ctx, actions)
+        self._note_pass(ctx, actions, knots.window_reads != windows, knots.view_reads != views)
         return actions
+
+    def _inputs(self, samples: bool) -> tuple[int, int, int, int]:
+        """The generations of what a pass may read: the node epochs
+        (``ClusterState.epoch_gen``), the pending queue
+        (``APIServer.pending_gen``), the image profiles
+        (``ProfileStore.gen``) and, with ``samples``, the sample columns
+        (``ClusterState.sample_gen``; ``-1`` without)."""
+        state = self.cluster.state
+        return (
+            state.epoch_gen,
+            self.api.pending_gen,
+            self.knots.profiles.gen,
+            state.sample_gen if samples else -1,
+        )
+
+    def _note_pass(
+        self, ctx: SchedulingContext, actions: list[Action], read_windows: bool, read_views: bool
+    ) -> None:
+        """Keep the inputs of an executed pass that returned nothing as
+        the hold key.
+
+        With pods pending, a pass that read a telemetry-ring window is
+        never held (the ring moves every heartbeat), and the sample
+        columns join the key if the pass took Algorithm 1's device list
+        (its views carry ``mem_used_mb`` and ``sm_util``).  With nothing
+        pending the idle-pass contract of :meth:`Scheduler.schedule`
+        already rules telemetry out.
+        """
+        if actions or (ctx.pending and read_windows):
+            self._hold = None
+        else:
+            self._hold = self._inputs(bool(ctx.pending) and read_views)
 
     def _repeats_noop(self) -> bool:
         """Whether this pass would repeat the last executed pass's no-op.
 
-        True when nothing is pending, the last executed pass also had
-        nothing pending and returned no actions, and no node epoch
-        moved since.  The :meth:`Scheduler.schedule` contract then makes
-        the policy's answer ``[]`` again: with nothing pending it may
-        read only epoch-tracked cluster state.
+        True while every input that pass read still holds (the key
+        :meth:`_note_pass` kept): no node epoch moved, no pod was
+        submitted, requeued or bound, no profile was recorded and, if
+        the key covers them, no sample column changed.  The
+        :meth:`Scheduler.schedule` contract then makes the policy's
+        answer ``[]`` again.  With nothing pending that is an idle pass;
+        with pods pending the queue is *held*, as kube-scheduler parks a
+        pod that failed scheduling until a cluster event could change
+        the answer.
         """
-        return self._noop_gen == self.cluster.state.epoch_gen and not self.api.num_pending()
+        hold = self._hold
+        return hold is not None and hold == self._inputs(hold[3] >= 0)
+
+    def queue_held(self) -> bool:
+        """Whether no pass could place a pending pod before an input
+        changes: nothing is pending, or the next pass would repeat the
+        last no-op."""
+        return not self.api.num_pending() or self._repeats_noop()
+
+    def _rerun_skipped(self, now: float) -> list[Action]:
+        """The policy's answer to a skipped pass, for the sanitizer's
+        ``idle_pass_noop`` check.
+
+        The policy and Knots report into :attr:`_checks_only` for the
+        call, so the re-run writes no audit record and moves no metric,
+        as the skipped pass would not have; the sanitizer still checks
+        every view and window it reads.
+        """
+        quiet = self._checks_only
+        self.scheduler.bind_observability(quiet)
+        self.knots.bind_observability(quiet)
+        try:
+            return self.scheduler.schedule(self.build_context(now))
+        finally:
+            self.scheduler.bind_observability(self.obs)
+            self.knots.bind_observability(self.obs)
 
     def idle_until(self) -> float:
         """The earliest time a kubelet step or a scheduling pass could
@@ -222,23 +290,22 @@ class KubeKnots:
 
         Mirrors the two branches of :meth:`step_kubelets`.  In an
         unsanitized run a node steps when its epoch moved or its quiet
-        horizon passed, and a pass that would repeat the last no-op is
-        skipped: ``-inf`` when the next pass would not repeat it or a
-        node epoch moved since that node's last step, else the earliest
-        quiet horizon (an auto-pstate deadline, or ``+inf`` when every
-        device is parked).  A sanitized run steps every node every tick,
-        so it is idle only while every device is asleep or failed:
-        ``+inf`` then, else ``-inf``.
+        horizon passed, and a pass that would repeat the last no-op (an
+        idle pass or a held queue) is skipped: ``-inf`` when the next
+        pass would not repeat it or a node epoch moved since that node's
+        last step, else the earliest quiet horizon (an auto-pstate
+        deadline, or ``+inf`` when every device is parked).  A sanitized
+        run steps every node every tick, so it is idle only while every
+        device is asleep or failed and the queue is held
+        (:meth:`queue_held`): ``+inf`` then, else ``-inf``.
         """
         state = self.cluster.state
         if self.obs.sanitizer is not None:
-            return float(np.inf if np.all(state.asleep | state.failed) else -np.inf)
+            parked = self.queue_held() and np.all(state.asleep | state.failed)
+            return float(np.inf if parked else -np.inf)
         if not self._repeats_noop() or state.epoch_gen != self._seen_gen:
             return float("-inf")
         return float(self._quiet_until.min(initial=np.inf))
-
-    def _note_pass(self, ctx: SchedulingContext, actions: list[Action]) -> None:
-        self._noop_gen = None if ctx.pending or actions else self.cluster.state.epoch_gen
 
     def _apply(self, action: Action, now: float) -> None:
         if isinstance(action, Bind):

@@ -183,6 +183,10 @@ class ProfileStore:
 
     def __init__(self) -> None:
         self._profiles: dict[str, ImageProfile] = {}
+        #: Moves with every :meth:`record_trace`, the only way the
+        #: program changes a profile: equal across two reads exactly
+        #: when no profile changed in between.
+        self.gen = 0
 
     def __contains__(self, image: str) -> bool:
         return image in self._profiles
@@ -205,6 +209,7 @@ class ProfileStore:
         idx = trace.sample_phases(step_ms)
         rows = trace.demand_table()[1]
         profile.update({"sm": rows[idx, 0], "mem_mb": rows[idx, 1]}, runtime_ms=trace.total_ms)
+        self.gen += 1
 
     def provision_mb(self, image: str, requested_mb: float, percentile: float = 80.0) -> float:
         """The reservation CBP grants a new pod of ``image``.

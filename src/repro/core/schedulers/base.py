@@ -154,15 +154,31 @@ class Scheduler(ABC):
         actions may depend only on cluster state that bumps a
         ``ClusterState.node_epoch`` entry when it changes: reservations,
         the resident pods, and the asleep, failed and cordoned flags —
-        not on ``ctx.now``, telemetry or policy-internal counters.  The
-        orchestrator relies on it to skip a pass when nothing is
-        pending, no node epoch moved since the last executed pass, and
-        that pass also had nothing pending and returned no actions; the
-        sanitizer's ``idle_pass_noop`` invariant checks every such skip.
-        Every shipped policy keeps it: CBP, Res-Ag, Uniform and the gang
-        wrapper return nothing when nothing is pending, and PP's
-        consolidation sleeps drained devices by resident count and the
-        three flags alone.
+        not on ``ctx.now``, telemetry or policy-internal counters.
+
+        **Held-queue contract.**  With pods pending: suppose a pass read
+        no telemetry-ring window (``knots.query``,
+        ``knots.memory_window``) and returned nothing.  A later pass
+        that sees the same pending queue, the same epoch-tracked state,
+        the same image profiles, and the same sample columns if the
+        first pass took ``knots.all_gpus_by_free_memory()``, returns
+        nothing too.  So a policy reads ``ctx.now`` only through the
+        ring, and a policy-internal memo or counter may not change a
+        later answer unless its pass read the ring.
+
+        The orchestrator relies on both to skip a pass whose inputs have
+        not moved since an executed pass returned nothing (an idle pass,
+        or a held queue); ``Knots`` notes which reads each pass made,
+        and the sanitizer's ``idle_pass_noop`` invariant checks every
+        skip.  Every shipped policy keeps them.  CBP, Res-Ag, Uniform
+        and the gang wrapper return nothing when nothing is pending,
+        and PP's consolidation sleeps drained devices by resident count
+        and the three flags alone.  CBP reads neither ``ctx.now`` nor
+        the ring and clears its rho memo at the start of each pass; PP
+        touches its AR(1) cache and forecast counters only in the
+        forecast branch, which reads the ring; Res-Ag, Uniform and the
+        gang wrapper read only ``gpu_id``, ``node_id``,
+        ``free_alloc_mb`` and ``num_containers`` from the views.
         """
 
     # -- observability hook --------------------------------------------------

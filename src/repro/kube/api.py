@@ -56,6 +56,10 @@ class APIServer:
         self._order: dict[str, int] = {}
         # Gang membership: gang_id -> member uids, in submission order.
         self._gangs: dict[str, list[str]] = {}
+        #: Moves whenever the pending queue does: every ``submit``,
+        #: ``requeue`` and ``bind``.  Equal across two reads only when
+        #: no pod entered or left the queue in between.
+        self.pending_gen = 0
 
     # -- submission ---------------------------------------------------------
 
@@ -69,6 +73,7 @@ class APIServer:
         if spec.gang is not None:
             self._gangs.setdefault(spec.gang.gang_id, []).append(pod.uid)
         self._pending.append(pod.uid)
+        self.pending_gen += 1
         self._log(now, EventType.SUBMITTED, pod.uid)
         return pod
 
@@ -78,6 +83,7 @@ class APIServer:
             raise KeyError(f"unknown pod {pod.uid}")
         pod.phase = PodPhase.PENDING
         self._pending.append(pod.uid)
+        self.pending_gen += 1
         self._log(now, EventType.REQUEUED, pod.uid, f"restart #{pod.restart_count}")
 
     # -- queries --------------------------------------------------------------
@@ -94,6 +100,12 @@ class APIServer:
 
     def num_pending(self) -> int:
         return len(self._pending)
+
+    def num_bound(self) -> int:
+        """Pods bound to a device and not finished: every unfinished pod
+        not in the pending queue (an OOM-killed or evicted pod is
+        requeued at once)."""
+        return self._n_unfinished - len(self._pending)
 
     def unfinished(self) -> list[Pod]:
         return [p for p in self._pods.values() if p.phase is not PodPhase.SUCCEEDED]
@@ -130,6 +142,7 @@ class APIServer:
             self._pending.remove(pod.uid)
         except ValueError:
             raise ValueError(f"{pod.uid} not in pending queue") from None
+        self.pending_gen += 1
         pod.mark_scheduled(now, node_id, gpu_id, alloc_mb)
         self._log(now, EventType.BOUND, pod.uid, f"{gpu_id} alloc={alloc_mb:.0f}MB")
 

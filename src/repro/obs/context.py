@@ -66,6 +66,13 @@ class Observability:
     def disabled(cls) -> "Observability":
         return cls(trace=False, metrics=False, audit=False)
 
+    def checks_only(self) -> "Observability":
+        """A bundle with this one's clock and sanitizer that records
+        nothing else: no span, metric or audit record."""
+        quiet = Observability(trace=False, metrics=False, audit=False, clock=self.clock)
+        quiet.sanitizer = self.sanitizer
+        return quiet
+
     def tick(self, now: float) -> None:
         """Advance the shared clock (the simulator calls this)."""
         self.clock.now = now

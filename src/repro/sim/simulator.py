@@ -11,11 +11,12 @@ The driver is event-driven: submissions, Knots heartbeats, scheduling
 passes, device faults/repairs and the execution/telemetry quantum are
 first-class events on the shared :class:`repro.sim.engine.EventLoop`,
 phase-ordered by the priorities in :mod:`repro.sim.harness`.  When the
-cluster is provably quiescent (no unfinished pods, no fault or capacity
-plan outstanding, and no kubelet step or scheduling pass able to act
-before :meth:`~repro.core.orchestrator.KubeKnots.idle_until`) the
-per-tick chains fast-forward to the earlier of the next arrival and
-that instant.  The skipped span costs one write per store: one
+cluster is provably quiescent (no bound pods, any pending ones held, no
+fault or capacity plan outstanding, and no kubelet step or scheduling
+pass able to act before
+:meth:`~repro.core.orchestrator.KubeKnots.idle_until`) the per-tick
+chains fast-forward to the earliest of the next arrival, that instant
+and the horizon.  The skipped span costs one write per store: one
 telemetry-ring write for the heartbeats a scheduler could still read,
 and one recorded series row with its tick count — same-seed outputs
 stay bit-identical to the reference tick loop
@@ -79,13 +80,13 @@ class SimConfig:
     min_horizon_ms: float = 60_000.0
     prewarm_images: bool = True      # steady state: docker layers cached
     faults: tuple[DeviceFault, ...] = ()   # failure-injection plan
-    #: Jump the tick chains across provably idle spans: no unfinished
-    #: pods, no fault or capacity plan outstanding, and no kubelet step
-    #: or scheduling pass able to act before the span ends
-    #: (``KubeKnots.idle_until``; under the sanitizer, every device
-    #: asleep or failed).  Output-equivalent to ticking through the
-    #: span; turn off to force every quantum to execute (e.g. when
-    #: profiling the substrate).
+    #: Jump the tick chains across provably idle spans: no bound pods,
+    #: no fault or capacity plan outstanding, and no kubelet step or
+    #: scheduling pass able to act before the span ends
+    #: (``KubeKnots.idle_until``: any pending pods are held; under the
+    #: sanitizer, every device is asleep or failed too).
+    #: Output-equivalent to ticking through the span; turn off to force
+    #: every quantum to execute (e.g. when profiling the substrate).
     fast_forward: bool = True
     #: Cluster-scale overrides: when set, :func:`run_appmix` sizes the
     #: paper cluster from the config instead of its own arguments — the
@@ -421,7 +422,10 @@ class KubeKnotsSimulator:
         self._inc_dt: float | None = None
         self._times: list[float] = []
         self._series = _DeviceSeries(len(self.state))
-        #: Run statistics (populated by :meth:`run`).
+        #: Run statistics (populated by :meth:`run`): events dispatched,
+        #: spans fast-forwarded (each quiescent stretch between two live
+        #: ticks: an idle cluster, or one that hosts no pod while its
+        #: pending queue is held) and the ticks those spans skipped.
         self.events_fired = 0
         self.fast_forwards = 0
         self.ticks_skipped = 0
@@ -581,9 +585,7 @@ class KubeKnotsSimulator:
             self._makespan = t_next
             self._loop.stop()
             return
-        # With every arrival submitted, a quiescent span can only end at
-        # the stop check above — there is no future arrival to jump to.
-        if self.config.fast_forward and not all_submitted:
+        if self.config.fast_forward:
             self._maybe_fast_forward(now, t_next)
 
     # -- idle fast-forward ---------------------------------------------------
@@ -591,13 +593,15 @@ class KubeKnotsSimulator:
     def _maybe_fast_forward(self, now: float, t_next: float) -> None:
         """Jump the tick chains across a provably idle span.
 
-        Guards: every submitted pod has succeeded, no fault/repair event
-        is outstanding (a repair would wake hardware mid-span) and no
-        capacity transition either.  The span then runs up to the
-        earlier of the next arrival and
+        Guards: no pod is bound (pending pods are allowed), no
+        fault/repair event is outstanding (a repair would wake hardware
+        mid-span) and no capacity transition either.  The span then runs
+        up to the earlier of the next arrival (none after the last) and
         :meth:`~repro.core.orchestrator.KubeKnots.idle_until`, the first
         instant a kubelet step could run or a scheduling pass could do
-        something other than repeat its last no-op.  Each skipped tick
+        something other than repeat its last no-op, which with pods
+        pending means their queue is held; a span that reaches the
+        horizon ends the run there.  Each skipped tick
         is therefore a no-op up to constant per-device telemetry (the
         cluster state columns do not move), which is accounted below
         with one write per store: one ring write for the tail's
@@ -610,13 +614,15 @@ class KubeKnotsSimulator:
         next span, if any, starts from there.
         """
         api = self.orchestrator.api
-        if not api.all_done():
+        if api.num_bound():
             return
         if self._faults.pending:
             return
         if self._capacity is not None and self._capacity.pending:
             return                      # a capacity transition would wake the span
-        end = min(self.workload[self._next_submit][0], self.orchestrator.idle_until())
+        end = self.orchestrator.idle_until()
+        if self._next_submit < len(self.workload):
+            end = min(self.workload[self._next_submit][0], end)
         if end <= t_next:
             return                      # an arrival, a kubelet or a pass is due next tick
 
@@ -646,12 +652,13 @@ class KubeKnotsSimulator:
                     tail.append(tp)
                 next_hb = tp + hb_ms
             if tp >= next_sched:
-                # The pass is skipped outright: nothing is pending and no
-                # node epoch moves across the span, so by the idle-pass
-                # contract of ``Scheduler.schedule`` the policy's answer
-                # cannot change.  ``idle_until`` found it a repeat of the
-                # last no-op; under the sanitizer nothing is resident and
-                # every device is parked, so it is no action.
+                # The pass is skipped outright: ``idle_until`` found it a
+                # repeat of the last no-op (under the sanitizer, with
+                # nothing resident and every device parked), and no input
+                # of that pass moves across the span: no node steps, no
+                # pod is submitted or bound and no profile is recorded,
+                # so by the contract of ``Scheduler.schedule`` the
+                # policy's answer cannot change.
                 next_sched = tp + cfg.schedule_interval_ms
             t_after = tp + tick
             if t_after > horizon:
@@ -675,11 +682,14 @@ class KubeKnotsSimulator:
             self._series.record_span(state.sm_util, state.mem_util, skipped)
 
         if san is not None:
-            # Quiescence as the GPU objects see it, not the columns the
-            # guard above read.
+            # Quiescence as the GPU objects see it, not the columns and
+            # counters the guard above read.
+            gpus = list(self.cluster.gpus())
             san.check_fast_forward(
-                now, tp, api.all_done(),
-                all(g.asleep or g.failed for g in self.cluster.gpus()),
+                now, tp,
+                not any(g.containers for g in gpus),
+                all(g.asleep or g.failed for g in gpus),
+                self.orchestrator.queue_held(),
             )
         self.fast_forwards += 1
         self.ticks_skipped += skipped

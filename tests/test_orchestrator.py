@@ -3,6 +3,8 @@ the quiescence predicate)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import repro.sim.simulator as simulator_module
@@ -197,12 +199,14 @@ class TestIdlePassSkip:
         spans = [e for e in obs.tracer.events if e["name"] == "scheduling_pass"]
         assert [e["ph"] for e in spans] == ["B", "E"]
 
-    def test_pass_with_pending_work_is_not_skipped(self, idle):
+    def test_a_held_queue_skips_its_repeat_pass(self, idle):
         kk, spy, _ = idle
         kk.api.submit(make_spec("huge", requested_mem_mb=16_384.0, mem_mb=16_000.0), 0.0)
-        for now in (0.0, 20.0):
-            kk.scheduling_pass(now)       # unplaceable: still pending
-        assert spy.calls == 2
+        assert kk.scheduling_pass(0.0) == []      # a new pod: the pass runs
+        assert spy.calls == 1
+        assert kk.scheduling_pass(20.0) == []     # unplaceable, nothing changed: held
+        assert spy.calls == 1
+        assert kk.api.num_pending() == 1 and kk.queue_held()
 
     @pytest.mark.parametrize("event", sorted(EVENTS))
     def test_epoch_moving_event_rearms_the_policy(self, idle, event):
@@ -259,6 +263,172 @@ class TestIdlePassSkip:
         assert Sleep("node2/gpu0") in actions
         assert _gpu(kk, "node2/gpu0").asleep
         assert not _gpu(kk, "node1/gpu0").asleep
+
+
+# -- held queues ------------------------------------------------------------------
+
+
+def _huge():
+    """A pod no P100 takes under CBP: its request is over the 95% usage
+    headroom, and its image has no profile to shrink it."""
+    return make_spec("huge", image="img/huge", requested_mem_mb=16_384.0, mem_mb=16_000.0)
+
+
+@pytest.fixture
+def held(idle):
+    """The ``idle`` fixture with an unplaceable pod pending: once the
+    passes settle, its queue is held."""
+    kk, spy, pods = idle
+    pods["huge"] = kk.api.submit(_huge(), 0.0)
+    return kk, spy, pods
+
+
+#: ``EVENTS`` plus the input a held queue adds to the idle-pass key: a
+#: profile update (here for the pending pod's image, as a completion
+#: records it).
+HELD_EVENTS = {
+    **EVENTS,
+    "profile": (None, lambda kk, pods, now: kk.knots.profiles.record_trace(
+        "img/huge", make_spec("done", image="img/huge").trace)),
+}
+
+
+def _resag_held():
+    """Res-Ag over two nodes with a resident on node1 and a pod larger
+    than any device pending: Res-Ag takes Algorithm 1's views, so its
+    hold key covers the sample columns."""
+    kk = KubeKnots(make_paper_cluster(num_nodes=2), make_scheduler("res-ag"),
+                   kubelet_config=NO_AUTO_SLEEP)
+    resident = kk.api.submit(make_spec("long", duration_ms=60_000.0), 0.0)
+    kk._apply(Bind(resident.uid, "node1/gpu0", 2_500.0), 0.0)
+    kk.api.submit(make_spec("huge", requested_mem_mb=20_000.0, mem_mb=18_000.0), 0.0)
+    return kk, ScheduleSpy(kk.scheduler)
+
+
+def _resample(kk, gpu_id: str) -> None:
+    """Write another sample for one device: a sample column moves, no
+    node epoch does."""
+    gpu = _gpu(kk, gpu_id)
+    epoch_gen = kk.cluster.state.epoch_gen
+    gpu.last_sample = replace(gpu.last_sample, sm_util=gpu.last_sample.sm_util + 0.25)
+    assert kk.cluster.state.epoch_gen == epoch_gen
+
+
+class TestHeldQueue:
+    @pytest.mark.parametrize("event", sorted(HELD_EVENTS))
+    def test_an_input_change_rearms_a_held_queue(self, held, event):
+        kk, spy, pods = held
+        setup, act = HELD_EVENTS[event]
+        if setup is not None:
+            setup(kk, 0.0)
+        now = settle(kk, spy, 0.0)
+        assert pods["huge"].phase is PodPhase.PENDING
+        calls = spy.calls
+        act(kk, pods, now)
+        kk.scheduling_pass(now + 20.0)
+        assert spy.calls == calls + 1, f"{event}: the pass after it was skipped"
+
+    def test_a_requeue_rearms_a_held_queue(self, held):
+        kk, spy, _ = held
+        # Its memory outgrows the device: the kubelet kills it as soon as
+        # it runs, and the API server puts it back in the queue.
+        hog = kk.api.submit(make_spec("hog", duration_ms=60_000.0, mem_mb=20_000.0), 0.0)
+        kk._apply(Bind(hog.uid, "node3/gpu0", 1_000.0), 0.0)
+        now = settle(kk, spy, 0.0)
+        calls = spy.calls
+        while not kk.api.events_of(EventType.OOM_KILLED):
+            assert now < 5_000.0, "no OOM kill"
+            kk.step_kubelets(now, 10.0)
+            if not kk.api.events_of(EventType.OOM_KILLED):
+                kk.scheduling_pass(now)
+                assert spy.calls == calls, "a pass ran with nothing changed"
+            now += 10.0
+        assert kk.api.events_of(EventType.REQUEUED)
+        kk.scheduling_pass(now)
+        assert spy.calls == calls + 1
+
+    def test_a_sample_change_rearms_a_policy_that_reads_the_views(self):
+        kk, spy = _resag_held()
+        now = settle(kk, spy, 0.0)
+        calls = spy.calls
+        _resample(kk, "node1/gpu0")
+        kk.scheduling_pass(now)
+        assert spy.calls == calls + 1
+
+    def test_a_sample_change_leaves_a_policy_that_reads_no_views_held(self, held):
+        kk, spy, _ = held
+        now = settle(kk, spy, 0.0)
+        calls = spy.calls
+        _resample(kk, "node1/gpu0")
+        kk.scheduling_pass(now)
+        assert spy.calls == calls                 # dark CBP reads no sample column
+
+    def test_a_pass_that_read_a_ring_window_is_never_held(self):
+        # One device, hosting a pod of the pending pod's image at its
+        # profiled size (nothing to harvest): the correlation gate
+        # rejects the pod (rho = 1), PP's forecast branch reads the
+        # device's memory window, and there is no device to wake.
+        kk = KubeKnots(make_paper_cluster(num_nodes=1), PeakPredictionScheduler(),
+                       kubelet_config=NO_AUTO_SLEEP)
+        kk.knots.profiles.record_trace("img/toy", make_spec(peak_mem_mb=3_000.0).trace)
+        resident = kk.api.submit(make_spec("long", duration_ms=60_000.0), 0.0)
+        kk._apply(Bind(resident.uid, "node1/gpu0", 2_000.0), 0.0)
+        pending = kk.api.submit(make_spec("next", peak_mem_mb=3_000.0), 0.0)
+        spy = ScheduleSpy(kk.scheduler)
+        for i, now in enumerate((0.0, 20.0, 40.0)):
+            reads = kk.knots.window_reads
+            assert kk.scheduling_pass(now) == []
+            assert kk.knots.window_reads > reads
+            assert spy.calls == i + 1
+        assert pending.phase is PodPhase.PENDING
+        assert not kk.queue_held()
+        assert kk.idle_until() == float("-inf")
+
+    def test_a_held_queue_alone_is_idle(self):
+        kk, now = settled()
+        kk.api.submit(_huge(), now)
+        now = tick(kk, now)                       # the pass runs and fails
+        assert kk._repeats_noop()
+        assert kk.idle_until() == kk.kubelets["node1"].quiet_horizon(0.0, 10.0)
+
+    def test_sanitized_runs_are_idle_only_with_the_queue_held(self, sanitized_obs):
+        kk, now = settled(obs=sanitized_obs)
+        for gpu_id in ("node1/gpu0", "node2/gpu0"):
+            _gpu(kk, gpu_id).sleep()
+        assert kk.idle_until() == float("inf")
+        kk.api.submit(_huge(), now)
+        assert kk.idle_until() == float("-inf")   # no pass has seen the pod
+        kk.scheduling_pass(now)
+        assert kk.queue_held()
+        assert kk.idle_until() == float("inf")
+
+    def test_the_sanitizers_rerun_writes_no_audit_record_and_moves_no_metric(self):
+        obs = Observability(trace=False, metrics=True, audit=True, sanitize=True)
+        kk = KubeKnots(make_paper_cluster(num_nodes=2), make_scheduler("cbp"), obs=obs)
+        kk.api.submit(_huge(), 0.0)
+        assert kk.scheduling_pass(0.0) == []
+        records = len(obs.audit.records)
+        assert obs.audit.rejections()             # the executed pass logged its reject
+        metrics = obs.metrics.render()
+        checks = obs.sanitizer.checks
+        idle_checks = []
+        check_idle_pass = obs.sanitizer.check_idle_pass
+        obs.sanitizer.check_idle_pass = lambda actions: (
+            idle_checks.append(actions), check_idle_pass(actions))
+        for now in (20.0, 40.0):
+            assert kk.scheduling_pass(now) == []
+        assert idle_checks == [[], []]            # both skips were re-run and checked
+        assert obs.sanitizer.checks > checks
+        assert len(obs.audit.records) == records
+        skipped = "scheduler_passes_skipped_total"
+        assert obs.metrics.get(skipped).value() == 2
+        assert _without(obs.metrics.render(), skipped) == _without(metrics, skipped)
+        assert obs.sanitizer.violations == []
+
+
+def _without(text: str, name: str) -> list[str]:
+    """Prometheus text lines that do not mention ``name``."""
+    return [line for line in text.splitlines() if name not in line]
 
 
 # -- the quiescence predicate ---------------------------------------------------

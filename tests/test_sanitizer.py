@@ -381,10 +381,14 @@ def _fingerprint(result, checks: int) -> str:
 
 
 class TestSanitizedGolden:
-    """Pinned fingerprints of two sanitized runs.  A sanitized run steps
-    every device every tick, empty ones included, so a shortcut in the
-    object tick that a dark run never takes shows here (a memo of
-    ``GPU.arbitrate`` keyed on the demands alone changes the first)."""
+    """Pinned fingerprints of three sanitized runs.  A sanitized run
+    steps every device every tick, empty ones included, so a shortcut in
+    the object tick that a dark run never takes shows here (a memo of
+    ``GPU.arbitrate`` keyed on the demands alone changes the first).  In
+    the third, a 16,220 MB ``djinn/key`` pod waits from 2.65 s to the
+    horizon for a profile its image never gets: its queue is held, the
+    sanitizer re-runs and checks 198 held passes, and the run
+    fast-forwards around the held queue."""
 
     @pytest.mark.parametrize(
         "mix, scheduler, load, checks, digest",
@@ -393,8 +397,10 @@ class TestSanitizedGolden:
              "339351bd4045fd961542a41b70e738e8d5c3640ae69585dbee7eccfb964a3016"),
             ("app-mix-1", "cbp", 0.3, 38_555,
              "11c7a724bd9b89fc33a98d3becbe43f2396db753005e078c979bc4de3dd13386"),
+            ("app-mix-1", "cbp", 0.05, 27_475,
+             "a08c15dc4922576300de820bce747b03617c4fc650df728e7cdc780242610201"),
         ],
-        ids=["pp-app-mix-3", "cbp-app-mix-1"],
+        ids=["pp-app-mix-3", "cbp-app-mix-1", "cbp-held-queue"],
     )
     def test_sanitized_run_matches_its_pin(self, sanitized_obs, mix, scheduler, load, checks, digest):
         result = run_appmix(
